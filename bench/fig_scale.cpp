@@ -11,9 +11,9 @@
 // walks in flight) against the plain sequential walk, and cross-checks that
 // both routed every request identically (same total hops, same owners).
 //
-// Networks are built with MakeRingBulk/MakeCycloidBulk — identical converged
+// Networks are built with MakeRing/MakeCycloidBulk — identical converged
 // state to n sequential joins + StabilizeAll, without the O(n^2) per-join
-// stabilization cost — and report ApproxMemoryBytes per point plus the
+// oracle splices — and report ApproxMemoryBytes per point plus the
 // process peak RSS at exit.
 //
 // Flags beyond the common set: --n=<nodes> runs a single point (CI smokes
@@ -180,7 +180,7 @@ int main(int argc, char** argv) {
     {
       chord::Config cfg;
       cfg.bits = BitsFor(n);
-      const auto ring = chord::MakeRingBulk(n, cfg, /*deterministic_ids=*/false);
+      const auto ring = chord::MakeRing(n, cfg, /*deterministic_ids=*/false);
       const auto members = ring.Members();
       Rng rng(0xF165CA1Eull + n);
       std::vector<harness::BatchLookupEngine<chord::ChordRing>::Request> reqs;

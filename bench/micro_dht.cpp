@@ -222,7 +222,7 @@ void BM_ChordLookupBatch(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   chord::Config cfg;
   cfg.bits = 24;
-  auto ring = chord::MakeRingBulk(n, cfg, /*deterministic_ids=*/false);
+  auto ring = chord::MakeRing(n, cfg, /*deterministic_ids=*/false);
   const auto members = ring.Members();
 
   const std::size_t kPool = 8192;
@@ -410,6 +410,28 @@ void BM_ChordOwnerOf(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
 BENCHMARK(BM_ChordOwnerOf)->Arg(256)->Arg(2048)->Arg(16384);
+
+/// One maintenance round (StabilizeAll) over a ring: the per-hub cost
+/// Mercury's Maintain pays m times. Arg 0 is the paper's fully populated
+/// 11-bit ring of 2048 nodes; arg 1 is 65536 hashed IDs in a 24-bit space.
+/// time/iteration is ns per round; `per_node` is the cost per node.
+void BM_StabilizeAll(benchmark::State& state) {
+  const bool paper = state.range(0) == 0;
+  chord::Config cfg;
+  cfg.bits = paper ? 11 : 24;
+  const std::size_t n = paper ? 2048 : 65536;
+  auto ring = chord::MakeRing(n, cfg, /*deterministic_ids=*/paper);
+  state.SetLabel(paper ? "n=2048 bits=11" : "n=65536 bits=24 hashed");
+  for (auto _ : state) {
+    ring.StabilizeAll();
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations() * n));
+  state.counters["per_node"] = benchmark::Counter(
+      static_cast<double>(state.iterations() * n),
+      benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_StabilizeAll)->Arg(0)->Arg(1);
 
 void BM_ChordChurnCycle(benchmark::State& state) {
   chord::Config cfg;

@@ -29,6 +29,7 @@
 #include <optional>
 #include <sstream>
 #include <string>
+#include <string_view>
 
 #include "common/random.hpp"
 #include "common/stats.hpp"
@@ -176,15 +177,15 @@ class Console {
       if (pos == std::string::npos) return std::nullopt;
       return std::make_pair(token.substr(0, pos), token.substr(pos + op.size()));
     };
-    std::string op = ">=";
-    auto split = TrySplit(">=");
-    if (!split) {
-      op = "<=";
-      split = TrySplit("<=");
-    }
-    if (!split) {
-      op = "=";
-      split = TrySplit("=");
+    // Two-character operators first, so "attr>=v" never splits at "=".
+    std::string_view op;
+    std::optional<std::pair<std::string, std::string>> split;
+    for (const std::string_view candidate : {">=", "<=", "="}) {
+      split = TrySplit(std::string(candidate));
+      if (split) {
+        op = candidate;
+        break;
+      }
     }
     if (!split) throw ConfigError("bad condition: " + token);
     const auto id = registry_.Find(split->first);

@@ -235,9 +235,11 @@ void ChordRing::AddNodeWithId(NodeAddr addr, Key id) {
   const Link pred = s.predecessor;
   self.predecessor = pred;
   s.predecessor = MakeLink(self_slot);
-  if (pred.addr != kNoNode && pred.addr != addr) {
-    const Slot pred_slot = ResolveLink(pred);
-    LORM_CHECK_MSG(pred_slot != kNoSlot, "unknown chord node");
+  // A crashed predecessor (no stabilization since) cannot be notified; the
+  // stale link stays, as on every other neighbor of an unrepaired failure.
+  const Slot pred_slot =
+      pred.addr != kNoNode && pred.addr != addr ? ResolveLink(pred) : kNoSlot;
+  if (pred_slot != kNoSlot) {
     Node& p = slots_[pred_slot];
     SlotSuccessors(pred_slot)[0] = MakeLink(self_slot);
     if (p.succ_count == 0) p.succ_count = 1;
@@ -291,11 +293,13 @@ void ChordRing::RemoveNode(NodeAddr addr) {
     Node& s = slots_[succ_slot];
     if (pred.addr != kNoNode && pred.addr != addr) {
       s.predecessor = pred;
+      // A crashed predecessor keeps its stale link until stabilization.
       const Slot pred_slot = ResolveLink(pred);
-      LORM_CHECK_MSG(pred_slot != kNoSlot, "unknown chord node");
-      Node& p = slots_[pred_slot];
-      if (p.succ_count != 0 && SlotSuccessors(pred_slot)[0].addr == addr) {
-        SlotSuccessors(pred_slot)[0] = MakeLink(succ_slot);
+      if (pred_slot != kNoSlot) {
+        Node& p = slots_[pred_slot];
+        if (p.succ_count != 0 && SlotSuccessors(pred_slot)[0].addr == addr) {
+          SlotSuccessors(pred_slot)[0] = MakeLink(succ_slot);
+        }
       }
     } else {
       s.predecessor = MakeLink(succ_slot);  // degenerate two-node case
@@ -533,6 +537,12 @@ std::vector<NodeAddr> ChordRing::FingersOf(NodeAddr addr) const {
   const Link* fingers = SlotFingers(SlotIndexOf(n));
   for (std::size_t i = 0; i < n.finger_count; ++i) out.push_back(fingers[i].addr);
   return out;
+}
+
+std::vector<Key> ChordRing::FingerIdsOf(NodeAddr addr) const {
+  const Node& n = MustGet(addr);
+  const Key* fids = SlotFingerIds(SlotIndexOf(n));
+  return std::vector<Key>(fids, fids + n.finger_count);
 }
 
 std::vector<NodeAddr> ChordRing::SuccessorListOf(NodeAddr addr) const {
@@ -917,16 +927,50 @@ void ChordRing::FixNode(NodeAddr addr) {
 }
 
 void ChordRing::StabilizeAll() {
-  for (Slot s = 0; s < slots_.size(); ++s) {
-    Node& node = slots_[s];
-    if (!node.live) continue;
-    BuildState(node);
+  // One sweep over the oracle in id order. Each node ends with exactly the
+  // state BuildState gives it plus the oracle predecessor, but the owner of
+  // finger i comes from a per-finger cursor instead of a binary search: the
+  // target id + 2^i only grows with id, so every cursor moves forward, at
+  // most 2n steps over the whole pass. Cursors index the doubled oracle —
+  // position p >= n stands for oracle_[p - n] one revolution on (id +
+  // space) — so targets past the top of the space need no wrap test.
+  const std::size_t n = oracle_.size();
+  // Links to every member in id order, built once: the writes below copy
+  // them sequentially instead of re-reading random node headers.
+  std::vector<Link> by_id(n);
+  for (std::size_t j = 0; j < n; ++j) by_id[j] = MakeLink(oracle_[j].second);
+  const auto doubled_id = [&](std::size_t p) {
+    return p < n ? oracle_[p].first : oracle_[p - n].first + space_;
+  };
+  std::array<std::size_t, 64> cursor{};  // bits <= 63
+  // The successor list holds every other member up to its configured length.
+  const std::size_t succ_len =
+      n <= 1 ? 1 : std::min(cfg_.successor_list, n - 1);
+  for (std::size_t j = 0; j < n; ++j) {
+    const Slot self = oracle_[j].second;
+    Node& node = slots_[self];
+    Link* fingers = SlotFingers(self);
+    Key* fids = SlotFingerIds(self);
+    for (unsigned i = 0; i < cfg_.bits; ++i) {
+      // id + 2^i < id + space = doubled_id(j + n): the cursor stops by then.
+      const Key target = node.id + (Key{1} << i);
+      std::size_t& p = cursor[i];
+      while (doubled_id(p) < target) ++p;
+      fingers[i] = by_id[p < n ? p : p - n];
+      fids[i] = fingers[i].id;
+    }
+    node.finger_count = static_cast<std::uint16_t>(cfg_.bits);
+    // Successors oracle_[j+1 .. j+succ_len] with wrap; a lone node is its
+    // own successor.
+    Link* succs = SlotSuccessors(self);
+    for (std::size_t k = 0; k < succ_len; ++k) {
+      succs[k] = by_id[(j + 1 + k) % n];
+    }
+    node.succ_count = static_cast<std::uint16_t>(succ_len);
+    SyncSucc0(node);
+    // The predecessor is what repeated stabilize() rounds converge to.
+    node.predecessor = by_id[j == 0 ? n - 1 : j - 1];
     maintenance_.stabilize_messages += node.finger_count + node.succ_count + 1;
-    // Refresh the predecessor pointer to the oracle state as well; this is
-    // what repeated stabilize() rounds converge to.
-    const std::size_t idx = OracleIndexOf(node.id);
-    node.predecessor = MakeLink(idx == 0 ? oracle_.back().second
-                                         : oracle_[idx - 1].second);
   }
   // Every link in every live node was just rebuilt from the oracle: all
   // generations current until the next membership change.
@@ -976,8 +1020,10 @@ void ChordRing::CollapseSlabs() {
 ChordRing MakeRing(std::size_t n, Config cfg, bool deterministic_ids,
                    NodeAddr base_addr) {
   ChordRing ring(cfg);
+  const std::uint64_t space = std::uint64_t{1} << cfg.bits;
+  std::vector<std::pair<NodeAddr, Key>> members;
+  members.reserve(n);
   if (deterministic_ids) {
-    const std::uint64_t space = std::uint64_t{1} << cfg.bits;
     if (n > space) throw ConfigError("more nodes than identifiers");
     // Seed-derived rotation: rings built with different seeds place the same
     // addresses at different (still evenly spaced) positions. Without this,
@@ -988,32 +1034,6 @@ ChordRing MakeRing(std::size_t n, Config cfg, bool deterministic_ids,
     for (std::size_t i = 0; i < n; ++i) {
       // Proportional placement floor(i * space / n): evenly spread over the
       // whole space even when space is not a multiple of n.
-      const auto id = static_cast<Key>(
-          (static_cast<unsigned __int128>(i) * space / n + offset) &
-          (space - 1));
-      ring.AddNodeWithId(static_cast<NodeAddr>(base_addr + i), id);
-    }
-  } else {
-    for (std::size_t i = 0; i < n; ++i) {
-      ring.AddNode(static_cast<NodeAddr>(base_addr + i));
-    }
-  }
-  ring.StabilizeAll();
-  return ring;
-}
-
-ChordRing MakeRingBulk(std::size_t n, Config cfg, bool deterministic_ids,
-                       NodeAddr base_addr) {
-  ChordRing ring(cfg);
-  const std::uint64_t space = std::uint64_t{1} << cfg.bits;
-  std::vector<std::pair<NodeAddr, Key>> members;
-  members.reserve(n);
-  if (deterministic_ids) {
-    if (n > space) throw ConfigError("more nodes than identifiers");
-    // Same seed-derived rotation + proportional placement as MakeRing.
-    std::uint64_t st = cfg.seed;
-    const Key offset = SplitMix64(st) & (space - 1);
-    for (std::size_t i = 0; i < n; ++i) {
       const auto id = static_cast<Key>(
           (static_cast<unsigned __int128>(i) * space / n + offset) &
           (space - 1));

@@ -267,7 +267,10 @@ class ChordRing {
   /// Rebuilds one node's fingers/successor-list to the converged state
   /// (what repeated fix_fingers would reach).
   void FixNode(NodeAddr addr);
-  /// One maintenance round over every node.
+  /// One maintenance round over every node: each ends with FixNode's state
+  /// plus its oracle predecessor, billed as FixNode bills it. One sweep over
+  /// the oracle in id order with a forward-only cursor per finger, so a
+  /// round costs O(n * bits) instead of a binary search per finger.
   void StabilizeAll();
 
   void AddObserver(MembershipObserver* obs);
@@ -279,6 +282,16 @@ class ChordRing {
   /// True while every stored link is known current (see links_fresh_).
   /// Exposed so tests can assert the invariant toggles where expected.
   bool LinksFresh() const { return links_fresh_; }
+
+  /// The node's finger-id mirror in table order (see finger_ids_). Exposed
+  /// so tests can check it against the finger links it shadows.
+  std::vector<Key> FingerIdsOf(NodeAddr addr) const;
+
+  /// Address of the node-header slab. Exposed so tests can assert its
+  /// cache-line alignment (Node is alignas(64)).
+  std::uintptr_t SlotSlabAddress() const {
+    return reinterpret_cast<std::uintptr_t>(slots_.data());
+  }
 
   unsigned bits() const { return cfg_.bits; }
   /// 2^bits as a value; bits == 64 is not supported for rings.
@@ -396,10 +409,9 @@ class ChordRing {
   std::size_t OracleUpperBound(Key id) const;
   std::size_t OracleIndexOf(Key id) const;
   bool OracleContains(Key id) const;
-  /// Splices one membership change into the sorted oracle. A contiguous
-  /// memmove beats the old rebuild-from-map: ring construction performs one
-  /// of these per join, and the rebuild made building n nodes O(n^2) map
-  /// walks (Mercury pays that once per attribute hub).
+  /// Splices one membership change into the sorted oracle: one contiguous
+  /// memmove per join or departure (construction sorts once instead, see
+  /// BulkAssign).
   void OracleInsert(Key id, Slot slot);
   void OracleErase(Key id);
 
@@ -447,15 +459,13 @@ class ChordRing {
 /// Populates a ring with `n` nodes and addresses base..base+n-1.
 /// In deterministic mode, IDs are evenly spaced over the full space (with
 /// bits = ceil(log2 n) and n a power of two this is the paper's fully
-/// populated ring).
+/// populated ring). In hashed mode every ID is what n sequential AddNode
+/// calls would assign, collision salting included. The routing state is
+/// what those joins plus one StabilizeAll converge to; only the per-join
+/// message accounting is skipped. Built in bulk (BulkAssign: one sort,
+/// one stabilization sweep), O(n log n) in all — what lets the scale
+/// sweeps reach n = 10^6.
 ChordRing MakeRing(std::size_t n, Config cfg, bool deterministic_ids,
                    NodeAddr base_addr = 0);
-
-/// MakeRing through the O(n log n) bulk path: same node IDs (the collision
-/// salting replays MakeRing's sequential stream) and the same converged
-/// routing state, built without per-join oracle splices or stabilization.
-/// This is what lets the scale sweeps reach n = 10^6.
-ChordRing MakeRingBulk(std::size_t n, Config cfg, bool deterministic_ids,
-                       NodeAddr base_addr = 0);
 
 }  // namespace lorm::chord

@@ -24,6 +24,11 @@ std::size_t RoundToHuge(std::size_t bytes) {
   return (bytes + kHugeSize - 1) & ~(kHugeSize - 1);
 }
 
+// Small requests come from the ordinary allocator, which only guarantees
+// 16-byte alignment. The slabs hold line-aligned types (ChordRing's
+// alignas(64) node header), so ask for a full cache line explicitly.
+constexpr std::align_val_t kLineAlign{64};
+
 std::atomic<bool> g_huge_in_use{false};
 
 }  // namespace
@@ -32,7 +37,7 @@ void* HugeAlloc(std::size_t bytes) {
 #if defined(__linux__)
   // HugeFree sees the same byte count, so the paths pair up
   // deterministically.
-  if (bytes < kMapThreshold) return ::operator new(bytes);
+  if (bytes < kMapThreshold) return ::operator new(bytes, kLineAlign);
   const std::size_t len = RoundToHuge(bytes);
   void* p = ::mmap(nullptr, len, PROT_READ | PROT_WRITE,
                    MAP_PRIVATE | MAP_ANONYMOUS | MAP_HUGETLB, -1, 0);
@@ -47,7 +52,7 @@ void* HugeAlloc(std::size_t bytes) {
   if (p != MAP_FAILED) return p;
   throw std::bad_alloc();
 #else
-  return ::operator new(bytes);
+  return ::operator new(bytes, kLineAlign);
 #endif
 }
 
@@ -55,12 +60,12 @@ void HugeFree(void* p, std::size_t bytes) noexcept {
   if (p == nullptr) return;
 #if defined(__linux__)
   if (bytes < kMapThreshold) {
-    ::operator delete(p);
+    ::operator delete(p, kLineAlign);
     return;
   }
   ::munmap(p, RoundToHuge(bytes));
 #else
-  ::operator delete(p);
+  ::operator delete(p, kLineAlign);
   (void)bytes;
 #endif
 }

@@ -24,7 +24,9 @@ namespace lorm {
 
 /// Maps `bytes` (rounded up to the 2 MiB hugepage size) of zeroed memory,
 /// hugetlb-backed when the system pool allows, anonymous 4 KiB pages
-/// otherwise. Throws std::bad_alloc only if both mappings fail.
+/// otherwise. Requests below the mapping threshold come from the ordinary
+/// allocator instead. Every result is at least 64-byte (cache-line)
+/// aligned. Throws std::bad_alloc only if both mappings fail.
 void* HugeAlloc(std::size_t bytes);
 
 /// Releases a HugeAlloc mapping. `bytes` must be the original request.

@@ -120,6 +120,22 @@ class Directory {
     return out;
   }
 
+  /// TakeIf over `attr`'s entries only: the same entries, in the same
+  /// order, as TakeIf with an `info.attr == attr` conjunct, but only that
+  /// attribute's bucket is scanned.
+  template <typename Pred>
+  std::vector<Entry> TakeIf(AttrId attr, Pred&& pred) {
+    // Pending inserts are merged exactly when the unscoped TakeIf merges
+    // them: a merge left for later would land on the next query instead.
+    MergePending();
+    std::vector<Entry> out;
+    const auto it = buckets_.find(attr);
+    if (it == buckets_.end()) return out;
+    const std::size_t removed = EraseFromBucket(it, pred, &out);
+    size_.fetch_sub(removed, std::memory_order_relaxed);
+    return out;
+  }
+
   std::vector<Entry> TakeAll() {
     return TakeIf([](const Entry&) { return true; });
   }
@@ -152,6 +168,8 @@ class Directory {
     std::vector<Entry> pending;  ///< inserts since the last merge
   };
 
+  using BucketMap = std::map<AttrId, Bucket>;
+
   /// Folds every bucket's insert buffer into its sorted run. Safe to call
   /// from concurrent readers; in the merged steady state it costs a single
   /// atomic load.
@@ -178,25 +196,38 @@ class Directory {
     dirty_.store(false, std::memory_order_release);
   }
 
+  /// Removes the entries of one merged bucket that satisfy `pred`, moving
+  /// them into `out` when given, and drops the bucket once it is empty.
+  /// Returns the removal count; size_ is the caller's to adjust.
+  template <typename Pred>
+  std::size_t EraseFromBucket(typename BucketMap::iterator it, Pred& pred,
+                              std::vector<Entry>* out) {
+    std::vector<Entry>& v = it->second.sorted;
+    std::size_t removed = 0;
+    auto dst = v.begin();
+    for (auto src = v.begin(); src != v.end(); ++src) {
+      if (pred(*src)) {
+        if (est_ != nullptr) est_->Remove(src->info.attr, src->ordinal);
+        if (out != nullptr) out->push_back(std::move(*src));
+        ++removed;
+      } else {
+        if (dst != src) *dst = std::move(*src);
+        ++dst;
+      }
+    }
+    v.erase(dst, v.end());
+    if (v.empty()) buckets_.erase(it);
+    return removed;
+  }
+
   template <typename Pred>
   std::size_t EraseIfImpl(Pred& pred, std::vector<Entry>* out) {
     MergePending();
     std::size_t removed = 0;
     for (auto it = buckets_.begin(); it != buckets_.end();) {
-      std::vector<Entry>& v = it->second.sorted;
-      auto dst = v.begin();
-      for (auto src = v.begin(); src != v.end(); ++src) {
-        if (pred(*src)) {
-          if (est_ != nullptr) est_->Remove(src->info.attr, src->ordinal);
-          if (out != nullptr) out->push_back(std::move(*src));
-          ++removed;
-        } else {
-          if (dst != src) *dst = std::move(*src);
-          ++dst;
-        }
-      }
-      v.erase(dst, v.end());
-      it = v.empty() ? buckets_.erase(it) : std::next(it);
+      const auto next = std::next(it);
+      removed += EraseFromBucket(it, pred, out);
+      it = next;
     }
     size_.fetch_sub(removed, std::memory_order_relaxed);
     return removed;
@@ -204,7 +235,7 @@ class Directory {
 
   // attr -> bucket; mutable plus the guard pair so the lazy merge can run
   // under const reads.
-  mutable std::map<AttrId, Bucket> buckets_;
+  mutable BucketMap buckets_;
   mutable std::atomic<bool> dirty_{false};
   mutable std::mutex merge_mu_;
   /// Relaxed atomic: size()/TotalEntries() are read by parallel replay
@@ -254,6 +285,14 @@ class DirectoryStore {
     const auto it = dirs_.find(owner);
     if (it == dirs_.end()) return {};
     return it->second.TakeIf(std::forward<Pred>(pred));
+  }
+
+  /// TakeIf(owner, pred) over `attr`'s bucket only (Directory::TakeIf).
+  template <typename Pred>
+  std::vector<Entry> TakeIf(NodeAddr owner, AttrId attr, Pred&& pred) {
+    const auto it = dirs_.find(owner);
+    if (it == dirs_.end()) return {};
+    return it->second.TakeIf(attr, std::forward<Pred>(pred));
   }
 
   /// Count-only variant of TakeIf(owner, pred).

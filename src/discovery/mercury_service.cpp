@@ -424,8 +424,9 @@ void MercuryService::HubJoin(AttrId attr, NodeAddr node, NodeAddr successor) {
   }
   if (node == successor) return;  // first node of the hub
   const auto& ring = hub(attr);
-  auto moved = store_.TakeIf(successor, [&](const Store::Entry& e) {
-    return e.replica == 0 && e.info.attr == attr && ring.Owns(node, e.key);
+  // Only this hub's bucket moves; the other attributes never change owner.
+  auto moved = store_.TakeIf(successor, attr, [&](const Store::Entry& e) {
+    return e.replica == 0 && ring.Owns(node, e.key);
   });
   for (auto& e : moved) store_.Insert(node, std::move(e));
 }
@@ -439,9 +440,8 @@ void MercuryService::HubLeave(AttrId attr, NodeAddr node, NodeAddr successor) {
                       });
     return;
   }
-  auto moved = store_.TakeIf(node, [&](const Store::Entry& e) {
-    return e.info.attr == attr;
-  });
+  auto moved =
+      store_.TakeIf(node, attr, [](const Store::Entry&) { return true; });
   if (successor == kNoNode) return;  // last node: information is lost
   for (auto& e : moved) {
     if (e.replica != 0) continue;  // replicas are rebuilt by the next epoch

@@ -6,6 +6,8 @@
 
 #include <algorithm>
 #include <set>
+#include <string>
+#include <vector>
 
 #include "common/random.hpp"
 #include "common/stats.hpp"
@@ -297,6 +299,203 @@ TEST(ChordRing, LookupFromUnknownOriginFails) {
 TEST(ChordRing, MakeRingRejectsOverfull) {
   Config cfg = SmallCfg(4);  // 16 ids
   EXPECT_THROW(MakeRing(17, cfg, true), ConfigError);
+}
+
+TEST(ChordRing, SlotSlabIsLineAligned) {
+  // Node is alignas(64): the slab must start on a cache line whether it
+  // comes from the small-request allocator or from a hugepage mapping.
+  for (const std::size_t n : {1u, 64u, 2048u, 8192u}) {
+    auto ring = MakeRing(n, SmallCfg(13), /*deterministic_ids=*/true);
+    EXPECT_EQ(ring.SlotSlabAddress() % 64, 0u) << "n=" << n;
+    // Growing through joins reallocates the slab; it must stay aligned.
+    ChordRing grown(SmallCfg(24));
+    for (std::size_t i = 0; i < n; ++i) grown.AddNode(static_cast<NodeAddr>(i));
+    EXPECT_EQ(grown.SlotSlabAddress() % 64, 0u) << "grown n=" << n;
+  }
+}
+
+// ---- Stabilization equivalence ---------------------------------------------
+
+/// True iff `id` is taken in the (non-empty) ring.
+bool IdTaken(const ChordRing& ring, Key id) {
+  return ring.size() != 0 && ring.IdOf(ring.OwnerOf(id)) == id;
+}
+
+/// Drives the ring through a seeded interleaving of AddNode, AddNodeWithId,
+/// RemoveNode and FailNode that ends with exactly `n` members. The script
+/// depends only on its arguments and the ring's state, so two rings driven
+/// with the same arguments end up identical.
+void ChurnTo(ChordRing& ring, std::size_t n, std::uint64_t seed) {
+  Rng rng(seed);
+  NodeAddr next = 1;
+  const Key mask = ring.space() - 1;
+  auto join = [&] {
+    if (rng.NextBool()) {
+      ring.AddNode(next++);
+      return;
+    }
+    Key id = rng.NextBelow(ring.space());
+    while (IdTaken(ring, id)) id = (id + 1) & mask;
+    ring.AddNodeWithId(next++, id);
+  };
+  auto depart = [&] {
+    const auto members = ring.Members();
+    const NodeAddr victim = members[rng.NextBelow(members.size())];
+    if (rng.NextBool()) {
+      ring.RemoveNode(victim);
+    } else {
+      ring.FailNode(victim);
+    }
+  };
+  for (std::size_t op = 0; op < 2 * n + 16; ++op) {
+    const bool grow =
+        ring.size() < n && (ring.size() == 0 || rng.NextBelow(4) != 0);
+    if (grow) {
+      join();
+    } else if (ring.size() != 0) {
+      depart();
+    }
+  }
+  while (ring.size() < n) join();
+  while (ring.size() > n) depart();
+}
+
+struct StabilizeCase {
+  unsigned bits;
+  std::size_t succ_list;
+  std::size_t n;
+};
+
+class ChordStabilizeEquivalence
+    : public ::testing::TestWithParam<StabilizeCase> {};
+
+TEST_P(ChordStabilizeEquivalence, SweepMatchesPerNodeFixNode) {
+  const StabilizeCase c = GetParam();
+  Config cfg = SmallCfg(c.bits);
+  cfg.successor_list = c.succ_list;
+  for (const std::uint64_t seed : {11u, 12u}) {
+    ChordRing swept(cfg);
+    ChordRing fixed(cfg);
+    ChurnTo(swept, c.n, seed);
+    ChurnTo(fixed, c.n, seed);
+    ASSERT_EQ(swept.size(), c.n);
+    ASSERT_EQ(swept.Members(), fixed.Members());
+    EXPECT_FALSE(swept.LinksFresh());
+
+    const auto swept_before = swept.maintenance().stabilize_messages;
+    swept.StabilizeAll();
+    EXPECT_TRUE(swept.LinksFresh());
+    const auto fixed_before = fixed.maintenance().stabilize_messages;
+    for (const NodeAddr a : fixed.Members()) fixed.FixNode(a);
+
+    std::uint64_t expected_msgs = 0;
+    for (const NodeAddr a : swept.Members()) {
+      const auto fingers = swept.FingersOf(a);
+      const auto succs = swept.SuccessorListOf(a);
+      ASSERT_EQ(fingers.size(), c.bits);
+      EXPECT_EQ(fingers, fixed.FingersOf(a)) << "node " << a;
+      EXPECT_EQ(swept.FingerIdsOf(a), fixed.FingerIdsOf(a)) << "node " << a;
+      const auto fids = swept.FingerIdsOf(a);
+      for (std::size_t i = 0; i < fingers.size(); ++i) {
+        EXPECT_EQ(fids[i], swept.IdOf(fingers[i]));
+      }
+      EXPECT_EQ(succs, fixed.SuccessorListOf(a)) << "node " << a;
+      EXPECT_EQ(swept.Successor(a), fixed.Successor(a));
+      EXPECT_EQ(swept.Successor(a), swept.NthOracleSuccessor(a, 1));
+      EXPECT_EQ(swept.Predecessor(a), swept.NthOraclePredecessor(a, 1));
+      expected_msgs += fingers.size() + succs.size() + 1;
+    }
+    EXPECT_EQ(swept.maintenance().stabilize_messages - swept_before,
+              expected_msgs);
+    EXPECT_EQ(fixed.maintenance().stabilize_messages - fixed_before,
+              expected_msgs);
+
+    // The fresh routing path reads the sweep's successor(0) cache and
+    // finger-id mirror; it must land on the oracle owner.
+    const auto members = swept.Members();
+    Rng rng(seed);
+    for (int i = 0; i < 64; ++i) {
+      const Key key = rng.NextBelow(swept.space());
+      const auto res =
+          swept.Lookup(key, members[rng.NextBelow(members.size())]);
+      ASSERT_TRUE(res.ok);
+      EXPECT_EQ(res.owner, swept.OwnerOf(key));
+    }
+  }
+}
+
+std::vector<StabilizeCase> StabilizeCases() {
+  std::vector<StabilizeCase> out;
+  for (const unsigned bits : {11u, 24u}) {
+    for (const std::size_t succ : {1u, 4u}) {
+      for (const std::size_t n : {1u, 2u, 3u, 64u, 2047u, 2048u}) {
+        out.push_back({bits, succ, n});
+      }
+    }
+  }
+  return out;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Shapes, ChordStabilizeEquivalence, ::testing::ValuesIn(StabilizeCases()),
+    [](const ::testing::TestParamInfo<StabilizeCase>& info) {
+      return "bits" + std::to_string(info.param.bits) + "_succ" +
+             std::to_string(info.param.succ_list) + "_n" +
+             std::to_string(info.param.n);
+    });
+
+/// MakeRing against the sequential build it replaces: n joins in address
+/// order, then one StabilizeAll.
+void ExpectMakeRingMatchesSequential(std::size_t n, Config cfg,
+                                     bool deterministic_ids) {
+  const NodeAddr base = 100;
+  const ChordRing made = MakeRing(n, cfg, deterministic_ids, base);
+  ChordRing seq(cfg);
+  const Key space = seq.space();
+  std::uint64_t st = cfg.seed;
+  const Key offset = SplitMix64(st) & (space - 1);
+  for (std::size_t i = 0; i < n; ++i) {
+    const auto addr = static_cast<NodeAddr>(base + i);
+    if (deterministic_ids) {
+      seq.AddNodeWithId(
+          addr, static_cast<Key>((static_cast<unsigned __int128>(i) * space /
+                                      n + offset) &
+                                 (space - 1)));
+    } else {
+      seq.AddNode(addr);
+    }
+  }
+  seq.StabilizeAll();
+  ASSERT_EQ(made.Members(), seq.Members());
+  EXPECT_TRUE(made.LinksFresh());
+  for (const NodeAddr a : seq.Members()) {
+    EXPECT_EQ(made.IdOf(a), seq.IdOf(a));
+    EXPECT_EQ(made.FingersOf(a), seq.FingersOf(a));
+    EXPECT_EQ(made.FingerIdsOf(a), seq.FingerIdsOf(a));
+    EXPECT_EQ(made.SuccessorListOf(a), seq.SuccessorListOf(a));
+    EXPECT_EQ(made.Predecessor(a), seq.Predecessor(a));
+  }
+  const auto members = seq.Members();
+  Rng rng(n);
+  for (int i = 0; i < 200; ++i) {
+    const Key key = rng.NextBelow(space);
+    const NodeAddr origin = members[rng.NextBelow(members.size())];
+    const auto a = made.Lookup(key, origin);
+    const auto b = seq.Lookup(key, origin);
+    EXPECT_EQ(a.owner, b.owner);
+    EXPECT_EQ(a.hops, b.hops);
+    EXPECT_EQ(a.path, b.path);
+  }
+}
+
+TEST(ChordRing, MakeRingMatchesSequentialJoins) {
+  for (const bool det : {true, false}) {
+    ExpectMakeRingMatchesSequential(2048, SmallCfg(11), det);
+    ExpectMakeRingMatchesSequential(300, SmallCfg(24), det);
+    ExpectMakeRingMatchesSequential(1, SmallCfg(11), det);
+  }
+  // Hashed IDs that collide in a small space exercise the salting replay.
+  ExpectMakeRingMatchesSequential(200, SmallCfg(8), false);
 }
 
 }  // namespace

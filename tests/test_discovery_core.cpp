@@ -1,8 +1,12 @@
 // Discovery-core tests: per-node directories and the provider join.
 #include <gtest/gtest.h>
 
+#include <vector>
+
+#include "common/random.hpp"
 #include "discovery/directory.hpp"
 #include "discovery/join.hpp"
+#include "resource/attribute.hpp"
 
 namespace lorm::discovery {
 namespace {
@@ -102,6 +106,97 @@ TEST(DirectoryStoreTest, PerOwnerBookkeeping) {
   EXPECT_EQ(store.TotalEntries(), 1u);
   EXPECT_EQ(store.EraseProviderEverywhere(12), 1u);
   EXPECT_EQ(store.TotalEntries(), 0u);
+}
+
+TEST(DirectoryTest, AttrScopedTakeMatchesFilteredTakeIf) {
+  resource::AttributeRegistry registry;
+  for (const char* name : {"a0", "a1", "a2"}) {
+    registry.RegisterNumeric(name, 0.0, 100.0);
+  }
+  SelectivityEstimator scoped_est, filtered_est;
+  scoped_est.Configure(registry);
+  filtered_est.Configure(registry);
+  Directory<std::uint64_t> scoped, filtered;
+  scoped.SetEstimator(&scoped_est);
+  filtered.SetEstimator(&filtered_est);
+
+  Rng rng(0xD1CE);
+  std::uint64_t seq = 0;
+  auto insert_batch = [&](int count) {
+    for (int i = 0; i < count; ++i) {
+      // Few distinct ordinals, so equal-ordinal runs test order stability.
+      const auto attr = static_cast<AttrId>(rng.NextBelow(3));
+      const double ordinal = static_cast<double>(rng.NextBelow(8));
+      const auto provider = static_cast<NodeAddr>(rng.NextBelow(50));
+      scoped.Insert(E(attr, ordinal, provider, seq));
+      filtered.Insert(E(attr, ordinal, provider, seq));
+      ++seq;
+    }
+  };
+  auto keys_of = [](const std::vector<Directory<std::uint64_t>::Entry>& v) {
+    std::vector<std::uint64_t> keys;
+    for (const auto& e : v) keys.push_back(e.key);
+    return keys;
+  };
+  auto remaining = [](const Directory<std::uint64_t>& d) {
+    std::vector<std::uint64_t> keys;
+    d.ForEach([&](const auto& e) { keys.push_back(e.key); });
+    return keys;
+  };
+
+  for (int round = 0; round < 40; ++round) {
+    insert_batch(static_cast<int>(rng.NextBelow(30)));
+    // Half the rounds take while inserts are still pending.
+    if (rng.NextBool()) (void)remaining(scoped);
+    const auto attr = static_cast<AttrId>(rng.NextBelow(4));  // 3: absent
+    const std::uint64_t modulus = 1 + rng.NextBelow(3);  // 1 takes all
+    const auto pred = [modulus](const auto& e) { return e.key % modulus == 0; };
+    const auto got = scoped.TakeIf(attr, pred);
+    const auto want = filtered.TakeIf(
+        [&](const auto& e) { return e.info.attr == attr && pred(e); });
+    ASSERT_EQ(keys_of(got), keys_of(want)) << "round " << round;
+    for (const auto& e : got) EXPECT_EQ(e.info.attr, attr);
+    ASSERT_EQ(scoped.size(), filtered.size());
+    ASSERT_EQ(remaining(scoped), remaining(filtered));
+    for (AttrId a = 0; a < 3; ++a) {
+      ASSERT_EQ(scoped_est.CountOf(a), filtered_est.CountOf(a));
+    }
+    ASSERT_EQ(scoped_est.TotalCount(), scoped.size());
+  }
+
+  // Emptying a bucket drops it; the attribute then reads empty and takes
+  // new inserts normally.
+  for (AttrId a = 0; a < 3; ++a) {
+    (void)scoped.TakeIf(a, [](const auto&) { return true; });
+    EXPECT_EQ(scoped_est.CountOf(a), 0u);
+    int hits = 0;
+    scoped.ForEachMatch(a, 0.0, 100.0, [&](const auto&) { ++hits; });
+    EXPECT_EQ(hits, 0);
+  }
+  EXPECT_TRUE(scoped.empty());
+  EXPECT_EQ(scoped_est.TotalCount(), 0u);
+  EXPECT_TRUE(scoped.TakeIf(1, [](const auto&) { return true; }).empty());
+  scoped.Insert(E(1, 5.0, 7, 999));
+  EXPECT_EQ(scoped.size(), 1u);
+  EXPECT_EQ(scoped_est.CountOf(1), 1u);
+  EXPECT_EQ(remaining(scoped), (std::vector<std::uint64_t>{999}));
+}
+
+TEST(DirectoryStoreTest, AttrScopedTakeTouchesOneOwnerAndAttr) {
+  DirectoryStore<std::uint64_t> store;
+  store.Insert(1, E(0, 1.0, 10, 1));
+  store.Insert(1, E(1, 1.0, 11, 2));
+  store.Insert(1, E(1, 2.0, 12, 3));
+  store.Insert(2, E(1, 3.0, 13, 4));
+  const auto moved =
+      store.TakeIf(1, AttrId{1}, [](const auto& e) { return e.key >= 2; });
+  ASSERT_EQ(moved.size(), 2u);
+  EXPECT_EQ(moved[0].key, 2u);
+  EXPECT_EQ(moved[1].key, 3u);
+  EXPECT_EQ(store.SizeAt(1), 1u);
+  EXPECT_EQ(store.SizeAt(2), 1u);
+  EXPECT_TRUE(
+      store.TakeIf(99, AttrId{1}, [](const auto&) { return true; }).empty());
 }
 
 TEST(JoinTest, IntersectsProviderSets) {

@@ -124,6 +124,45 @@ TEST(MercuryChurn, RehomesAcrossAllHubs) {
   EXPECT_EQ(bed.service->TotalInfoPieces(), bed.infos.size());
 }
 
+TEST(MercuryChurn, PlannedHandoffKeepsEveryPieceAndAnswer) {
+  // Joins and leaves hand each hub's entries over attribute by attribute;
+  // with the planner on, every move also updates the selectivity counts.
+  harness::Setup setup = harness::Setup::Small();
+  setup.plan = true;
+  auto planned = MakeBed(SystemKind::kMercury, setup);
+  auto classic = MakeBed(SystemKind::kMercury);
+  Rng rng(17);
+  NodeAddr next = static_cast<NodeAddr>(setup.nodes) + 1000;
+  for (int round = 0; round < 16; ++round) {
+    if (rng.NextBool() && planned.service->NetworkSize() > 32) {
+      const auto nodes = planned.service->Nodes();
+      const NodeAddr leaving = nodes[rng.NextBelow(nodes.size())];
+      planned.service->LeaveNode(leaving);
+      classic.service->LeaveNode(leaving);
+    } else {
+      ASSERT_TRUE(planned.service->JoinNode(next));
+      ASSERT_TRUE(classic.service->JoinNode(next));
+      ++next;
+    }
+    ASSERT_EQ(planned.service->TotalInfoPieces(), planned.infos.size());
+  }
+  planned.service->Maintain();
+  classic.service->Maintain();
+  EXPECT_EQ(planned.service->DirectorySizes(),
+            classic.service->DirectorySizes());
+  for (int i = 0; i < 20; ++i) {
+    const auto nodes = planned.service->Nodes();
+    const NodeAddr req = nodes[rng.NextBelow(nodes.size())];
+    const auto q =
+        planned.workload->MakeRangeQuery(3, req, RangeStyle::kBounded, rng);
+    const auto res = planned.service->Query(q);
+    EXPECT_FALSE(res.stats.failed);
+    EXPECT_EQ(res.providers,
+              BruteForceProviders(planned.infos, q, *planned.service));
+    EXPECT_EQ(res.providers, classic.service->Query(q).providers);
+  }
+}
+
 TEST(MercuryMetrics, BalancedDirectories) {
   auto bed = MakeBed(SystemKind::kMercury);
   EXPECT_EQ(bed.service->TotalInfoPieces(), bed.infos.size());

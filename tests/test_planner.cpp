@@ -265,7 +265,7 @@ TEST(Selectivity, NarrowRangesEstimateBelowWide) {
 TEST(Join, IntersectSortedMatchesSetIntersection) {
   Rng rng(0x1A7E45EC7ull);
   std::vector<NodeAddr> acc, cur, tmp, expect;
-  for (int round = 0; round < 300; ++round) {
+  for (std::uint64_t round = 0; round < 300; ++round) {
     acc.clear();
     cur.clear();
     for (NodeAddr p = 0; p < 120; ++p) {
