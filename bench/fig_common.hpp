@@ -7,10 +7,13 @@
 // reduced-scale smoke version.
 #pragma once
 
+#include <cerrno>
 #include <chrono>
+#include <cmath>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <functional>
 #include <iostream>
 #include <memory>
 #include <sstream>
@@ -81,49 +84,97 @@ inline std::unique_ptr<obs::TeeTraceSink>& TeeSinkSlot() {
 }
 }  // namespace detail
 
-inline BenchOptions ParseOptions(int argc, char** argv) {
+/// Exits with code 2 (usage error) after naming the offending argument.
+[[noreturn]] inline void RejectFlag(const char* arg, const char* why) {
+  std::cerr << "error: " << why << ": " << arg << "\n";
+  std::exit(2);
+}
+
+/// The unsigned integer spelled by all of `text` (the value part of `arg`);
+/// rejects an empty value, a sign, trailing garbage and overflow.
+inline std::size_t ParseCount(const char* arg, const char* text) {
+  if (*text < '0' || *text > '9') RejectFlag(arg, "expected a count");
+  errno = 0;
+  char* end = nullptr;
+  const unsigned long long v = std::strtoull(text, &end, 10);
+  if (*end != '\0' || errno == ERANGE) RejectFlag(arg, "expected a count");
+  return static_cast<std::size_t>(v);
+}
+
+/// The finite, non-negative number spelled by all of `text`.
+inline double ParseNonNegative(const char* arg, const char* text) {
+  errno = 0;
+  char* end = nullptr;
+  const double v = std::strtod(text, &end);
+  if (end == text || *end != '\0' || errno == ERANGE || !std::isfinite(v) ||
+      v < 0) {
+    RejectFlag(arg, "expected a non-negative number");
+  }
+  return v;
+}
+
+/// Parses the shared bench flags. Any other argument is a usage error
+/// (exit code 2) unless `own_flag` — a bench's hook for its own flags —
+/// accepts it.
+inline BenchOptions ParseOptions(
+    int argc, char** argv,
+    const std::function<bool(const char*)>& own_flag = nullptr) {
   BenchOptions opt;
   opt.jobs = ResolveJobs(0);
+  const auto value_of = [](const char* arg, const char* prefix) {
+    const std::size_t len = std::strlen(prefix);
+    return std::strncmp(arg, prefix, len) == 0 ? arg + len : nullptr;
+  };
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--quick") == 0) opt.quick = true;
-    if (std::strcmp(argv[i], "--cache") == 0) opt.cache = true;
-    if (std::strcmp(argv[i], "--plan") == 0) opt.plan = true;
-    if (std::strcmp(argv[i], "--csv") == 0) opt.csv = true;
-    if (std::strcmp(argv[i], "--json") == 0) opt.json = true;
-    if (std::strcmp(argv[i], "--metrics") == 0) opt.metrics = true;
-    if (std::strncmp(argv[i], "--metrics=", 10) == 0) {
+    const char* arg = argv[i];
+    const char* v = nullptr;
+    // `--jobs N` / `--batch N` take their value from the next argument.
+    const auto next = [&] {
+      if (i + 1 >= argc) RejectFlag(arg, "missing value");
+      return argv[++i];
+    };
+    if (std::strcmp(arg, "--quick") == 0) {
+      opt.quick = true;
+    } else if (std::strcmp(arg, "--cache") == 0) {
+      opt.cache = true;
+    } else if (std::strcmp(arg, "--plan") == 0) {
+      opt.plan = true;
+    } else if (std::strcmp(arg, "--csv") == 0) {
+      opt.csv = true;
+    } else if (std::strcmp(arg, "--json") == 0) {
+      opt.json = true;
+    } else if (std::strcmp(arg, "--analyze") == 0) {
+      opt.analyze = true;
+    } else if (std::strcmp(arg, "--metrics") == 0) {
       opt.metrics = true;
-      opt.metrics_file = argv[i] + 10;
-    }
-    if (std::strncmp(argv[i], "--trace=", 8) == 0) opt.trace_file = argv[i] + 8;
-    if (std::strcmp(argv[i], "--analyze") == 0) opt.analyze = true;
-    if (std::strcmp(argv[i], "--timeline") == 0) opt.timeline = true;
-    if (std::strncmp(argv[i], "--timeline=", 11) == 0) {
+    } else if ((v = value_of(arg, "--metrics=")) != nullptr) {
+      opt.metrics = true;
+      opt.metrics_file = v;
+    } else if ((v = value_of(arg, "--trace=")) != nullptr) {
+      opt.trace_file = v;
+    } else if (std::strcmp(arg, "--timeline") == 0) {
       opt.timeline = true;
-      opt.timeline_file = argv[i] + 11;
-    }
-    if (std::strncmp(argv[i], "--timeline-window=", 18) == 0) {
+    } else if ((v = value_of(arg, "--timeline=")) != nullptr) {
       opt.timeline = true;
-      opt.timeline_window = std::strtod(argv[i] + 18, nullptr);
-    }
-    if (std::strcmp(argv[i], "--flight") == 0) opt.flight = true;
-    if (std::strncmp(argv[i], "--flight=", 9) == 0) {
+      opt.timeline_file = v;
+    } else if ((v = value_of(arg, "--timeline-window=")) != nullptr) {
+      opt.timeline = true;
+      opt.timeline_window = ParseNonNegative(arg, v);
+    } else if (std::strcmp(arg, "--flight") == 0) {
       opt.flight = true;
-      opt.flight_file = argv[i] + 9;
-    }
-    if (std::strcmp(argv[i], "--jobs") == 0 && i + 1 < argc) {
-      opt.jobs = ResolveJobs(
-          static_cast<std::size_t>(std::strtoull(argv[++i], nullptr, 10)));
-    } else if (std::strncmp(argv[i], "--jobs=", 7) == 0) {
-      opt.jobs = ResolveJobs(
-          static_cast<std::size_t>(std::strtoull(argv[i] + 7, nullptr, 10)));
-    }
-    if (std::strcmp(argv[i], "--batch") == 0 && i + 1 < argc) {
-      opt.batch =
-          static_cast<std::size_t>(std::strtoull(argv[++i], nullptr, 10));
-    } else if (std::strncmp(argv[i], "--batch=", 8) == 0) {
-      opt.batch =
-          static_cast<std::size_t>(std::strtoull(argv[i] + 8, nullptr, 10));
+    } else if ((v = value_of(arg, "--flight=")) != nullptr) {
+      opt.flight = true;
+      opt.flight_file = v;
+    } else if (std::strcmp(arg, "--jobs") == 0) {
+      opt.jobs = ResolveJobs(ParseCount(arg, next()));
+    } else if ((v = value_of(arg, "--jobs=")) != nullptr) {
+      opt.jobs = ResolveJobs(ParseCount(arg, v));
+    } else if (std::strcmp(arg, "--batch") == 0) {
+      opt.batch = ParseCount(arg, next());
+    } else if ((v = value_of(arg, "--batch=")) != nullptr) {
+      opt.batch = ParseCount(arg, v);
+    } else if (!own_flag || !own_flag(arg)) {
+      RejectFlag(arg, "unknown flag");
     }
   }
   harness::TablePrinter::SetCsvMode(opt.csv);

@@ -145,14 +145,13 @@ void PrintRow(harness::TablePrinter& table, const char* system, std::size_t n,
 
 int main(int argc, char** argv) {
   using namespace lorm;
-  const auto opt = bench::ParseOptions(argc, argv);
+  std::size_t only_n = 0;  // --n=<size>: measure one network size only
+  const auto opt = bench::ParseOptions(argc, argv, [&](const char* arg) {
+    if (std::strncmp(arg, "--n=", 4) != 0) return false;
+    only_n = bench::ParseCount(arg, arg + 4);
+    return true;
+  });
   const std::size_t batch = opt.batch == 0 ? 16 : opt.batch;
-  std::size_t only_n = 0;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--n=", 4) == 0) {
-      only_n = static_cast<std::size_t>(std::strtoull(argv[i] + 4, nullptr, 10));
-    }
-  }
 
   harness::PrintBanner(
       std::cout, "Scaling — hops/lookup and ns/lookup vs n",

@@ -37,6 +37,9 @@
 
 namespace lorm::discovery {
 
+/// Entry predicate that accepts every directory entry.
+inline constexpr auto kAnyEntry = [](const auto&) { return true; };
+
 template <typename KeyT>
 class Directory {
  public:

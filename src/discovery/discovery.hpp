@@ -5,12 +5,16 @@
 //   LormService    — one Cycloid (the paper's contribution)
 //   MercuryService — m Chord rings, one per attribute
 //   SwordService   — one Chord ring, attribute-rooted directories
-//   MaanService    — one Chord ring, dual attribute/value placement
-//   D1htService    — one single-hop ring, MAAN's dual placement (the
-//                    maintenance-heavy end of the design space)
+//   MaanService    — BasicMaanService on one Chord ring: dual
+//                    attribute/value placement
+//   D1htService    — BasicMaanService on one single-hop ring: the same
+//                    placement at the maintenance-heavy end of the design
+//                    space
 //
 // All five expose identical advertise/query/membership operations so the
-// experiment harnesses and examples can drive them interchangeably.
+// experiment harnesses and examples can drive them interchangeably, and all
+// five answer queries through the one executor in query_executor.hpp: a
+// service contributes only how one sub-query resolves.
 #pragma once
 
 #include <memory>
@@ -53,10 +57,18 @@ struct QueryResult {
 struct QueryScratch {
   chord::LookupResult chord;
   cycloid::LookupResult cycloid;
-  /// Planner buffers (`--plan` and the order-independent result-cache key);
-  /// unused — and never touched — on the classic path.
+  /// Executor buffers: every query's sub-query ranges and running provider
+  /// join, plus the planner's order and estimates (`--plan`) and the
+  /// order-independent joined result-cache key (`--cache`).
   PlanScratch plan;
 };
+
+/// Where a sub-query sits in its query's execution order. The first
+/// sub-query executed (every one on the classic path) is kLeading and must
+/// be resolved in full; with `--plan`, the later ones are kDominated: the
+/// running join already bounds the answer, so a service may resolve them
+/// through a cheaper index that yields the same matches.
+enum class SubRole : std::uint8_t { kLeading, kDominated };
 
 class DiscoveryService {
  public:

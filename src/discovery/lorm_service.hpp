@@ -114,8 +114,16 @@ class LormService final : public DiscoveryService,
  private:
   using Store = DirectoryStore<cycloid::CycloidId>;
 
-  QueryResult QueryPlanned(const resource::MultiQuery& q,
-                           QueryScratch& scratch) const;
+  template <typename Service>
+  friend QueryResult ExecuteQuery(const Service&, const resource::MultiQuery&,
+                                  QueryScratch&);
+  /// Routes to the root of the range's lower endpoint, then walks the
+  /// cluster's small cycle across the range (executor contract:
+  /// query_executor.hpp).
+  void ResolveSub(NodeAddr requester, const resource::SubQuery& sub,
+                  double lo, double hi, SubRole role, QueryScratch& scratch,
+                  QueryStats& stats,
+                  std::vector<resource::ResourceInfo>& matches) const;
 
   /// Replicated handoff (replicas > 1): re-establishes, for every cluster
   /// resolving one of `cubicals`, the invariant that each surviving tuple

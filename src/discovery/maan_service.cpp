@@ -1,22 +1,19 @@
 #include "discovery/maan_service.hpp"
 
-#include <algorithm>
-
 #include "common/error.hpp"
-#include "discovery/join.hpp"
+#include "discovery/query_executor.hpp"
 #include "discovery/query_obs.hpp"
 #include "discovery/ring_walk.hpp"
 #include "obs/flight.hpp"
-#include "obs/trace.hpp"
 
 namespace lorm::discovery {
 
-MaanService::MaanService(std::size_t n,
-                         const resource::AttributeRegistry& registry,
-                         Config cfg)
+template <typename Ring>
+BasicMaanService<Ring>::BasicMaanService(
+    std::size_t n, const resource::AttributeRegistry& registry, Config cfg)
     : registry_(registry),
       cfg_(cfg),
-      ring_(chord::MakeRing(n, cfg.ring, cfg.deterministic_ids)) {
+      ring_(Substrate::Make(n, cfg.ring, cfg.deterministic_ids)) {
   const ConsistentHash ch(cfg_.ring.bits);
   attr_key_.reserve(registry_.size());
   lph_.reserve(registry_.size());
@@ -34,19 +31,25 @@ MaanService::MaanService(std::size_t n,
   ring_.AddObserver(this);
 }
 
-MaanService::~MaanService() { ring_.RemoveObserver(this); }
+template <typename Ring>
+BasicMaanService<Ring>::~BasicMaanService() {
+  ring_.RemoveObserver(this);
+}
 
-chord::Key MaanService::AttributeKeyFor(AttrId attr) const {
+template <typename Ring>
+chord::Key BasicMaanService<Ring>::AttributeKeyFor(AttrId attr) const {
   LORM_CHECK_MSG(attr < attr_key_.size(), "attribute id out of range");
   return attr_key_[attr];
 }
 
-chord::Key MaanService::ValueKeyFor(AttrId attr,
-                                    const resource::AttrValue& v) const {
+template <typename Ring>
+chord::Key BasicMaanService<Ring>::ValueKeyFor(
+    AttrId attr, const resource::AttrValue& v) const {
   return lph_[attr](registry_.Get(attr).OrdinalOf(v));
 }
 
-bool MaanService::JoinNode(NodeAddr addr) {
+template <typename Ring>
+bool BasicMaanService<Ring>::JoinNode(NodeAddr addr) {
   if (ring_.size() >= ring_.space()) return false;
   ring_.AddNode(addr);
   if (obs::FlightEnabled()) {
@@ -55,21 +58,25 @@ bool MaanService::JoinNode(NodeAddr addr) {
   return true;
 }
 
-void MaanService::LeaveNode(NodeAddr addr) {
+template <typename Ring>
+void BasicMaanService<Ring>::LeaveNode(NodeAddr addr) {
   if (obs::FlightEnabled()) {
     obs::RecordFlight(obs::FlightEventKind::kLeave, name(), addr, ring_.size());
   }
   ring_.RemoveNode(addr);
 }
 
-void MaanService::FailNode(NodeAddr addr) {
+template <typename Ring>
+void BasicMaanService<Ring>::FailNode(NodeAddr addr) {
   if (obs::FlightEnabled()) {
     obs::RecordFlight(obs::FlightEventKind::kCrash, name(), addr, ring_.size());
   }
   ring_.FailNode(addr);
 }
 
-HopCount MaanService::Advertise(const resource::ResourceInfo& info) {
+template <typename Ring>
+HopCount BasicMaanService<Ring>::Advertise(
+    const resource::ResourceInfo& info) {
   LORM_CHECK_MSG(ring_.Contains(info.provider),
                  "provider is not a member of the overlay");
   const double ordinal = registry_.Get(info.attr).OrdinalOf(info.value);
@@ -98,314 +105,66 @@ HopCount MaanService::Advertise(const resource::ResourceInfo& info) {
     }
   };
   place(AttributeKeyFor(info.attr), kAttributeRecord,
-        "MAAN attribute-record insert failed to route");
+        "attribute-record insert failed to route");
   place(ValueKeyFor(info.attr, info.value), kValueRecord,
-        "MAAN value-record insert failed to route");
+        "value-record insert failed to route");
   // A new advertisement changes the attribute's ground truth.
   result_cache_.InvalidateAttr(info.attr);
-  static AdvertiseInstruments advertise_obs("MAAN");
+  static AdvertiseInstruments advertise_obs(Substrate::kName);
   advertise_obs.Record(hops);
   return hops;
 }
 
-QueryResult MaanService::Query(const resource::MultiQuery& q,
-                               QueryScratch& scratch) const {
-  if (cfg_.plan) return QueryPlanned(q, scratch);
-  QueryResult result;
-  LORM_CHECK_MSG(ring_.Contains(q.requester),
-                 "requester is not a member of the overlay");
-
-  const bool joined = result_cache_.enabled() && !q.subs.empty();
-  if (joined) {
-    PlanScratch& ps = scratch.plan;
-    ComputeSubRanges(registry_, q, ps);
-    CanonicalSubKeys(q, ps);
-    if (JoinedCacheFetch(result_cache_, ps, q.subs.size(), result.per_sub,
-                         result.providers)) {
-      for (const auto& sub : q.subs) {
-        const obs::SubQueryScope sub_trace(sub.attr);
-        result.stats.sub_costs.push_back(0);
-      }
-      static QueryInstruments query_obs("MAAN");
-      query_obs.Record(result.stats);
-      return result;
-    }
-  }
-
-  for (const auto& sub : q.subs) {
-    const obs::SubQueryScope sub_trace(sub.attr);
-    const HopCount cost_before =
-        result.stats.dht_hops + static_cast<HopCount>(result.stats.walk_steps);
-    const auto& schema = registry_.Get(sub.attr);
-    const double lo = schema.OrdinalOf(sub.range.lo);
-    const double hi = schema.OrdinalOf(sub.range.hi);
-
-    std::vector<resource::ResourceInfo> matches;
-    if (result_cache_.enabled() &&
-        result_cache_.Lookup(sub.attr, lo, hi, matches)) {
-      // Served from the result cache: no routing, no walk, no probes. The
-      // cached matches are exactly what a fresh resolution would find (the
-      // range root depends on the range, never on the requester).
-      result.per_sub.push_back(std::move(matches));
-      result.stats.sub_costs.push_back(0);
-      continue;
-    }
-    const bool failed_before = result.stats.failed;
-
-    // Lookup 1: the attribute root (resolves the attribute name).
-    {
-      chord::LookupResult& res = scratch.chord;
-      ring_.LookupInto(AttributeKeyFor(sub.attr), q.requester, res);
-      result.stats.lookups += 1;
-      result.stats.dht_hops += res.hops;
-      result.stats.visited_nodes += res.ok ? 1 : 0;
-      if (res.ok) {
-        visit_counts_.Record(res.owner);
-        // The attribute root is checked but yields no value matches; the
-        // probe is recorded so a trace's probe count equals visited_nodes.
-        const auto* dir = store_.Find(res.owner);
-        obs::OnDirectoryProbe(res.owner, 0,
-                              dir != nullptr ? dir->size() : 0);
-      }
-      if (!res.ok) result.stats.failed = true;
-    }
-
-    // Lookup 2: the value root, then (for ranges) the system-wide value walk.
-    const chord::Key key_lo = lph_[sub.attr](lo);
-    const chord::Key key_hi = lph_[sub.attr](hi);
-    chord::LookupResult& res = scratch.chord;
-    ring_.LookupInto(key_lo, q.requester, res);
-    result.stats.lookups += 1;
-    result.stats.dht_hops += res.hops;
-    if (!res.ok) {
-      result.stats.failed = true;
-      result.per_sub.push_back(std::move(matches));
-      result.stats.sub_costs.push_back(
-          result.stats.dht_hops +
-          static_cast<HopCount>(result.stats.walk_steps) - cost_before);
-      continue;
-    }
-    WalkSuccessors(ring_, res.owner, key_lo, key_hi, result.stats,
-                   [&](NodeAddr cur) {
-                     visit_counts_.Record(cur);
-                     const std::size_t matches_before = matches.size();
-                     std::uint64_t replica_hits = 0;
-                     const auto* dir = store_.Find(cur);
-                     if (dir != nullptr) {
-                       dir->ForEachMatch(sub.attr, lo, hi,
-                                         [&](const Store::Entry& e) {
-                                           if (e.tag == kValueRecord) {
-                                             matches.push_back(e.info);
-                                             if (e.replica != 0) ++replica_hits;
-                                           }
-                                         });
-                     }
-                     result.stats.replica_hits += replica_hits;
-                     obs::OnDirectoryProbe(
-                         cur, matches.size() - matches_before,
-                         dir != nullptr ? dir->size() : 0, replica_hits);
-                   });
-    DedupMatches(matches);  // replicas may repeat tuples along the walk
-    if (result.stats.failed == failed_before) {
-      // Only fully resolved sub-queries are cacheable; a truncated
-      // resolution would freeze an incomplete answer.
-      result_cache_.Store(sub.attr, lo, hi, matches);
-    }
-    result.per_sub.push_back(std::move(matches));
-    result.stats.sub_costs.push_back(
-        result.stats.dht_hops + static_cast<HopCount>(result.stats.walk_steps) -
-        cost_before);
-  }
-
-  result.providers = JoinProviders(result.per_sub);
-  result.providers.erase(
-      std::remove_if(result.providers.begin(), result.providers.end(),
-                     [&](NodeAddr p) { return !ring_.Contains(p); }),
-      result.providers.end());
-  if (joined && !result.stats.failed) {
-    JoinedCacheStore(result_cache_, scratch.plan, result.per_sub,
-                     result.providers);
-  }
-  static QueryInstruments query_obs("MAAN");
-  query_obs.Record(result.stats);
-  return result;
+template <typename Ring>
+QueryResult BasicMaanService<Ring>::Query(const resource::MultiQuery& q,
+                                          QueryScratch& scratch) const {
+  return ExecuteQuery(*this, q, scratch);
 }
 
-QueryResult MaanService::QueryPlanned(const resource::MultiQuery& q,
-                                      QueryScratch& scratch) const {
-  QueryResult result;
-  LORM_CHECK_MSG(ring_.Contains(q.requester),
-                 "requester is not a member of the overlay");
-  const std::size_t k = q.subs.size();
-  PlanScratch& ps = scratch.plan;
-  ComputeSubRanges(registry_, q, ps);
-  const bool joined = result_cache_.enabled() && k > 0;
-  if (joined) {
-    CanonicalSubKeys(q, ps);
-    if (JoinedCacheFetch(result_cache_, ps, k, result.per_sub,
-                         result.providers)) {
-      for (const auto& sub : q.subs) {
-        const obs::SubQueryScope sub_trace(sub.attr);
-        result.stats.sub_costs.push_back(0);
-      }
-      static QueryInstruments query_obs("MAAN");
-      query_obs.Record(result.stats);
-      return result;
-    }
+template <typename Ring>
+void BasicMaanService<Ring>::ResolveSub(
+    NodeAddr requester, const resource::SubQuery& sub, double lo, double hi,
+    SubRole role, QueryScratch& scratch, QueryStats& stats,
+    std::vector<resource::ResourceInfo>& matches) const {
+  chord::LookupResult& res = scratch.chord;
+  const bool attr_root_ok =
+      RouteSub(ring_, AttributeKeyFor(sub.attr), requester, res, stats);
+  if (role == SubRole::kDominated) {
+    // The attribute root holds every tuple of this attribute as attribute
+    // records, so one lookup answers the range — no value walk. This is
+    // MAAN's single-attribute dominated query.
+    if (!attr_root_ok) return;
+    stats.visited_nodes += 1;
+    visit_counts_.Record(res.owner);
+    ProbeDirectory(store_, res.owner, sub.attr, lo, hi,
+                   [](const Store::Entry& e) {
+                     return e.tag == kAttributeRecord;
+                   },
+                   matches, stats);
+    return;
   }
-  PlanOrder(selectivity_, q, ps);
-  obs::OnPlanOrder(ps.order.data(), ps.order.size());
-
-  result.per_sub.resize(k);
-  result.stats.sub_costs.assign(k, 0);
-  ps.candidates.clear();
-  bool pruned = false;
-  bool first = true;
-  for (std::size_t rank = 0; rank < k; ++rank) {
-    const std::uint32_t idx = ps.order[rank];
-    const auto& sub = q.subs[idx];
-    const obs::SubQueryScope sub_trace(sub.attr);
-    if (pruned) {
-      // The join is already empty; this sub-query cannot resurrect it.
-      obs::OnSubQueryCandidates(0);
-      TickPlanSubsSkipped(1);
-      continue;
-    }
-    const HopCount cost_before =
-        result.stats.dht_hops + static_cast<HopCount>(result.stats.walk_steps);
-    const double lo = ps.lo[idx];
-    const double hi = ps.hi[idx];
-
-    std::vector<resource::ResourceInfo>& matches = result.per_sub[idx];
-    if (result_cache_.enabled() &&
-        result_cache_.Lookup(sub.attr, lo, hi, matches)) {
-      // Served from the per-sub cache: zero cost, as on the classic path.
-    } else if (first) {
-      // The most selective sub-query pays the full classic resolution:
-      // attribute-root lookup, value-root lookup, system-wide value walk.
-      const bool failed_before = result.stats.failed;
-      {
-        chord::LookupResult& res = scratch.chord;
-        ring_.LookupInto(AttributeKeyFor(sub.attr), q.requester, res);
-        result.stats.lookups += 1;
-        result.stats.dht_hops += res.hops;
-        result.stats.visited_nodes += res.ok ? 1 : 0;
-        if (res.ok) {
-          visit_counts_.Record(res.owner);
-          const auto* dir = store_.Find(res.owner);
-          obs::OnDirectoryProbe(res.owner, 0,
-                                dir != nullptr ? dir->size() : 0);
-        }
-        if (!res.ok) result.stats.failed = true;
-      }
-      const chord::Key key_lo = lph_[sub.attr](lo);
-      const chord::Key key_hi = lph_[sub.attr](hi);
-      chord::LookupResult& res = scratch.chord;
-      ring_.LookupInto(key_lo, q.requester, res);
-      result.stats.lookups += 1;
-      result.stats.dht_hops += res.hops;
-      if (res.ok) {
-        WalkSuccessors(ring_, res.owner, key_lo, key_hi, result.stats,
-                       [&](NodeAddr cur) {
-                         visit_counts_.Record(cur);
-                         const std::size_t matches_before = matches.size();
-                         std::uint64_t replica_hits = 0;
-                         const auto* dir = store_.Find(cur);
-                         if (dir != nullptr) {
-                           dir->ForEachMatch(sub.attr, lo, hi,
-                                             [&](const Store::Entry& e) {
-                                               if (e.tag == kValueRecord) {
-                                                 matches.push_back(e.info);
-                                                 if (e.replica != 0) {
-                                                   ++replica_hits;
-                                                 }
-                                               }
-                                             });
-                         }
-                         result.stats.replica_hits += replica_hits;
-                         obs::OnDirectoryProbe(
-                             cur, matches.size() - matches_before,
-                             dir != nullptr ? dir->size() : 0, replica_hits);
-                       });
-        DedupMatches(matches);  // replicas may repeat tuples along the walk
-        if (result.stats.failed == failed_before) {
-          result_cache_.Store(sub.attr, lo, hi, matches);
-        }
-      } else {
-        result.stats.failed = true;
-      }
-      result.stats.sub_costs[idx] =
-          result.stats.dht_hops +
-          static_cast<HopCount>(result.stats.walk_steps) - cost_before;
-    } else {
-      // Dominated sub-query: the attribute root holds every tuple of this
-      // attribute as attribute records, so one lookup answers the range —
-      // no value walk. This is MAAN's single-attribute dominated query.
-      const bool failed_before = result.stats.failed;
-      chord::LookupResult& res = scratch.chord;
-      ring_.LookupInto(AttributeKeyFor(sub.attr), q.requester, res);
-      result.stats.lookups += 1;
-      result.stats.dht_hops += res.hops;
-      if (res.ok) {
-        result.stats.visited_nodes += 1;
-        visit_counts_.Record(res.owner);
-        std::uint64_t replica_hits = 0;
-        const auto* dir = store_.Find(res.owner);
-        if (dir != nullptr) {
-          dir->ForEachMatch(sub.attr, lo, hi, [&](const Store::Entry& e) {
-            if (e.tag == kAttributeRecord) {
-              matches.push_back(e.info);
-              if (e.replica != 0) ++replica_hits;
-            }
-          });
-        }
-        result.stats.replica_hits += replica_hits;
-        obs::OnDirectoryProbe(res.owner, matches.size(),
-                              dir != nullptr ? dir->size() : 0, replica_hits);
-        DedupMatches(matches);  // replicas can share the root after churn
-        if (result.stats.failed == failed_before) {
-          result_cache_.Store(sub.attr, lo, hi, matches);
-        }
-      } else {
-        result.stats.failed = true;
-      }
-      result.stats.sub_costs[idx] =
-          result.stats.dht_hops +
-          static_cast<HopCount>(result.stats.walk_steps) - cost_before;
-    }
-
-    ProvidersOf(matches, ps.providers);
-    if (first) {
-      ps.candidates = ps.providers;
-      first = false;
-    } else {
-      IntersectSorted(ps.candidates, ps.providers, ps.tmp);
-    }
-    obs::OnSubQueryCandidates(ps.candidates.size());
-    if (ps.candidates.empty() && rank + 1 < k) {
-      pruned = true;
-      TickPlanEarlyExit();
-      if (obs::FlightEnabled()) {
-        obs::RecordFlight(obs::FlightEventKind::kPlannerEarlyExit, name(),
-                          q.requester, rank + 1, k - rank - 1);
-      }
-    }
+  if (attr_root_ok) {
+    // The attribute root is checked but yields no value matches; the probe
+    // is recorded so a trace's probe count equals visited_nodes.
+    stats.visited_nodes += 1;
+    visit_counts_.Record(res.owner);
+    const auto* dir = store_.Find(res.owner);
+    obs::OnDirectoryProbe(res.owner, 0, dir != nullptr ? dir->size() : 0);
   }
-
-  result.providers = ps.candidates;
-  result.providers.erase(
-      std::remove_if(result.providers.begin(), result.providers.end(),
-                     [&](NodeAddr p) { return !ring_.Contains(p); }),
-      result.providers.end());
-  if (joined && !result.stats.failed && !pruned) {
-    JoinedCacheStore(result_cache_, ps, result.per_sub, result.providers);
-  }
-  static QueryInstruments query_obs("MAAN");
-  query_obs.Record(result.stats);
-  return result;
+  // Then the value root and the system-wide value walk.
+  const chord::Key key_lo = lph_[sub.attr](lo);
+  const chord::Key key_hi = lph_[sub.attr](hi);
+  if (!RouteSub(ring_, key_lo, requester, res, stats)) return;
+  WalkSuccessors(ring_, res.owner, key_lo, key_hi, stats, [&](NodeAddr cur) {
+    visit_counts_.Record(cur);
+    ProbeDirectory(store_, cur, sub.attr, lo, hi,
+                   [](const Store::Entry& e) { return e.tag == kValueRecord; },
+                   matches, stats);
+  });
 }
 
-std::vector<double> MaanService::QueryLoadCounts() const {
+template <typename Ring>
+std::vector<double> BasicMaanService<Ring>::QueryLoadCounts() const {
   std::vector<double> out;
   for (NodeAddr addr : ring_.Members()) {
     out.push_back(static_cast<double>(visit_counts_.CountOf(addr)));
@@ -413,7 +172,8 @@ std::vector<double> MaanService::QueryLoadCounts() const {
   return out;
 }
 
-std::vector<double> MaanService::DirectorySizes() const {
+template <typename Ring>
+std::vector<double> BasicMaanService<Ring>::DirectorySizes() const {
   std::vector<double> out;
   for (NodeAddr addr : ring_.Members()) {
     out.push_back(static_cast<double>(store_.SizeAt(addr)));
@@ -421,7 +181,8 @@ std::vector<double> MaanService::DirectorySizes() const {
   return out;
 }
 
-std::vector<double> MaanService::OutlinkCounts() const {
+template <typename Ring>
+std::vector<double> BasicMaanService<Ring>::OutlinkCounts() const {
   std::vector<double> out;
   for (NodeAddr addr : ring_.Members()) {
     out.push_back(static_cast<double>(ring_.Outlinks(addr)));
@@ -429,27 +190,26 @@ std::vector<double> MaanService::OutlinkCounts() const {
   return out;
 }
 
-std::size_t MaanService::TotalInfoPieces() const {
+template <typename Ring>
+std::size_t BasicMaanService<Ring>::TotalInfoPieces() const {
   return store_.TotalEntries();
 }
 
-std::size_t MaanService::WithdrawProvider(NodeAddr provider) {
+template <typename Ring>
+std::size_t BasicMaanService<Ring>::WithdrawProvider(NodeAddr provider) {
   result_cache_.InvalidateAll();
   return store_.EraseProviderEverywhere(provider);
 }
 
-namespace {
-// Both record kinds replicate through the one successor-list protocol: an
-// attribute record's key is the attribute key and a value record's key is the
-// locality-preserving value key, so the generic ring-arc handoff places each
-// kind correctly without knowing about tags.
-constexpr auto kAllEntries = [](const auto&) { return true; };
-}  // namespace
-
-void MaanService::OnJoin(NodeAddr node, NodeAddr successor) {
+template <typename Ring>
+void BasicMaanService<Ring>::OnJoin(NodeAddr node, NodeAddr successor) {
   result_cache_.InvalidateAll();  // the join re-homed part of some arc
   if (cfg_.replicas > 1) {
-    ChordReplicaJoin(ring_, store_, cfg_.replicas, node, repl_, kAllEntries);
+    // Both record kinds replicate through the one successor-list protocol:
+    // an attribute record's key is the attribute key and a value record's
+    // key is the locality-preserving value key, so the generic ring-arc
+    // handoff places each kind correctly without knowing about tags.
+    ChordReplicaJoin(ring_, store_, cfg_.replicas, node, repl_, kAnyEntry);
     return;
   }
   if (node == successor) return;
@@ -459,24 +219,26 @@ void MaanService::OnJoin(NodeAddr node, NodeAddr successor) {
   for (auto& e : moved) store_.Insert(node, std::move(e));
 }
 
-void MaanService::OnFail(NodeAddr node) {
+template <typename Ring>
+void BasicMaanService<Ring>::OnFail(NodeAddr node) {
   result_cache_.InvalidateAll();
   if (cfg_.replicas > 1) {
     // The crashed node's copies are gone, but each lost key range survives on
     // the rest of its replica group; the generic protocol restores both
     // record kinds of every lost range, so the attribute-keyed and
     // value-keyed record sets stay in lockstep with no extra work.
-    ChordReplicaFail(ring_, store_, cfg_.replicas, node, repl_, kAllEntries);
+    ChordReplicaFail(ring_, store_, cfg_.replicas, node, repl_, kAnyEntry);
     store_.Drop(node);
     return;
   }
   ReconcileTwins(node);
 }
 
-void MaanService::OnLeave(NodeAddr node, NodeAddr successor) {
+template <typename Ring>
+void BasicMaanService<Ring>::OnLeave(NodeAddr node, NodeAddr successor) {
   result_cache_.InvalidateAll();
   if (cfg_.replicas > 1) {
-    ChordReplicaLeave(ring_, store_, cfg_.replicas, node, repl_, kAllEntries);
+    ChordReplicaLeave(ring_, store_, cfg_.replicas, node, repl_, kAnyEntry);
     store_.Drop(node);
     return;
   }
@@ -489,7 +251,8 @@ void MaanService::OnLeave(NodeAddr node, NodeAddr successor) {
   }
 }
 
-void MaanService::ReconcileTwins(NodeAddr node) {
+template <typename Ring>
+void BasicMaanService<Ring>::ReconcileTwins(NodeAddr node) {
   // Unreplicated, every tuple still exists as two records on (usually) two
   // different nodes. Dropping the crashed node's directory alone leaves the
   // surviving twins behind: value records whose attribute record died make
@@ -540,5 +303,8 @@ void MaanService::ReconcileTwins(NodeAddr node) {
     }
   }
 }
+
+template class BasicMaanService<chord::ChordRing>;
+template class BasicMaanService<singlehop::SingleHopRing>;
 
 }  // namespace lorm::discovery

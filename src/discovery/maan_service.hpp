@@ -1,7 +1,7 @@
 // MAAN: Multi-Attribute Addressable Network (Cai, Frank et al., Journal of
 // Grid Computing 2004), as modelled by the paper.
 //
-// One Chord ring; every resource-information tuple is stored *twice*
+// One ring; every resource-information tuple is stored *twice*
 // (§II: "separately maps the resource attribute and value ... to a single
 // DHT, and processes a query by searching them separately"):
 //
@@ -16,6 +16,17 @@
 // (the n/4-node average walk of Theorem 4.9). The doubled storage is
 // Theorem 4.2; the attribute piles give it the worst directory balance
 // together with SWORD (Theorem 4.6).
+//
+// The placement rule is independent of the ring underneath, so one template
+// serves two systems:
+//
+//   MaanService = BasicMaanService<chord::ChordRing>          — the paper's
+//   D1htService = BasicMaanService<singlehop::SingleHopRing>  — D1HT
+//     (Monnerat & Amorim; see src/singlehop/singlehop.hpp and PAPERS.md):
+//     every lookup resolves in one hop off the complete membership table,
+//     while the maintenance meter charges Θ(n) event-dissemination messages
+//     per membership change. Identical workload, identical directories,
+//     opposite end of the maintenance-vs-lookup tradeoff.
 #pragma once
 
 #include <string>
@@ -29,14 +40,42 @@
 #include "discovery/replication.hpp"
 #include "discovery/selectivity.hpp"
 #include "discovery/visit_counter.hpp"
+#include "singlehop/singlehop.hpp"
 
 namespace lorm::discovery {
 
-class MaanService final : public DiscoveryService,
-                          private chord::MembershipObserver {
+/// Per-ring name, configuration and builder of BasicMaanService.
+template <typename Ring>
+struct MaanSubstrate;
+
+template <>
+struct MaanSubstrate<chord::ChordRing> {
+  using Config = chord::Config;
+  static constexpr const char* kName = "MAAN";
+  static chord::ChordRing Make(std::size_t n, const Config& cfg,
+                               bool deterministic_ids) {
+    return chord::MakeRing(n, cfg, deterministic_ids);
+  }
+};
+
+template <>
+struct MaanSubstrate<singlehop::SingleHopRing> {
+  using Config = singlehop::Config;
+  static constexpr const char* kName = "D1HT";
+  static singlehop::SingleHopRing Make(std::size_t n, const Config& cfg,
+                                       bool deterministic_ids) {
+    return singlehop::MakeSingleHopRing(n, cfg, deterministic_ids);
+  }
+};
+
+template <typename Ring>
+class BasicMaanService final : public DiscoveryService,
+                               private chord::MembershipObserver {
  public:
+  using Substrate = MaanSubstrate<Ring>;
+
   struct Config {
-    chord::Config ring;
+    typename Substrate::Config ring;
     bool deterministic_ids = true;
     /// Copies of each record (1 = primary only; replicas go to the owner's
     /// ring successors; both record kinds replicate).
@@ -56,14 +95,14 @@ class MaanService final : public DiscoveryService,
   static constexpr std::uint8_t kValueRecord = 0;
   static constexpr std::uint8_t kAttributeRecord = 1;
 
-  MaanService(std::size_t n, const resource::AttributeRegistry& registry,
-              Config cfg);
-  ~MaanService() override;
+  BasicMaanService(std::size_t n, const resource::AttributeRegistry& registry,
+                   Config cfg);
+  ~BasicMaanService() override;
 
-  MaanService(const MaanService&) = delete;
-  MaanService& operator=(const MaanService&) = delete;
+  BasicMaanService(const BasicMaanService&) = delete;
+  BasicMaanService& operator=(const BasicMaanService&) = delete;
 
-  std::string name() const override { return "MAAN"; }
+  std::string name() const override { return Substrate::kName; }
 
   bool JoinNode(NodeAddr addr) override;
   void LeaveNode(NodeAddr addr) override;
@@ -100,20 +139,29 @@ class MaanService final : public DiscoveryService,
   chord::Key AttributeKeyFor(AttrId attr) const;
   chord::Key ValueKeyFor(AttrId attr, const resource::AttrValue& v) const;
 
-  const chord::ChordRing& overlay() const { return ring_; }
+  const Ring& overlay() const { return ring_; }
   const SelectivityEstimator& selectivity() const { return selectivity_; }
   const DirectoryStore<chord::Key>& directories() const { return store_; }
 
  private:
   using Store = DirectoryStore<chord::Key>;
 
-  QueryResult QueryPlanned(const resource::MultiQuery& q,
-                           QueryScratch& scratch) const;
+  template <typename Service>
+  friend QueryResult ExecuteQuery(const Service&, const resource::MultiQuery&,
+                                  QueryScratch&);
+  /// kLeading: attribute-root lookup, value-root lookup, then the
+  /// system-wide value walk over value records. kDominated: the attribute
+  /// root alone, read through its attribute records (executor contract:
+  /// query_executor.hpp).
+  void ResolveSub(NodeAddr requester, const resource::SubQuery& sub,
+                  double lo, double hi, SubRole role, QueryScratch& scratch,
+                  QueryStats& stats,
+                  std::vector<resource::ResourceInfo>& matches) const;
 
   /// Unreplicated crash repair: a tuple's two records (attribute + value)
   /// live on different nodes, so a single crash kills one copy and strands
-  /// its twin. Re-synchronizes the two record sets so QueryPlanned (which
-  /// reads attribute records) and the classic path (value records) keep
+  /// its twin. Re-synchronizes the two record sets so dominated sub-queries
+  /// (which read attribute records) and leading ones (value records) keep
   /// agreeing after failures.
   void ReconcileTwins(NodeAddr node);
 
@@ -123,7 +171,7 @@ class MaanService final : public DiscoveryService,
 
   const resource::AttributeRegistry& registry_;
   Config cfg_;
-  chord::ChordRing ring_;
+  Ring ring_;
   /// Declared before store_ so the directories (whose destructor un-counts
   /// entries from the estimator) die first.
   SelectivityEstimator selectivity_;
@@ -132,7 +180,7 @@ class MaanService final : public DiscoveryService,
   std::vector<LocalityPreservingHash> lph_;
   std::uint64_t epoch_ = 0;
   /// Handoff work done by the replication protocol (replicas > 1 only).
-  ReplicationRecorder repl_{"MAAN"};
+  ReplicationRecorder repl_{Substrate::kName};
   /// Visits absorbed per node (roots + walk probes); mutable because Query
   /// is const, internally synchronized because the parallel experiment
   /// engine replays queries from many threads.
@@ -141,5 +189,10 @@ class MaanService final : public DiscoveryService,
   /// const. Invalidated on every event that can change ground truth.
   mutable cache::ResultCache result_cache_;
 };
+
+extern template class BasicMaanService<chord::ChordRing>;
+extern template class BasicMaanService<singlehop::SingleHopRing>;
+
+using MaanService = BasicMaanService<chord::ChordRing>;
 
 }  // namespace lorm::discovery

@@ -95,8 +95,16 @@ class MercuryService final : public DiscoveryService {
  private:
   using Store = DirectoryStore<chord::Key>;
 
-  QueryResult QueryPlanned(const resource::MultiQuery& q,
-                           QueryScratch& scratch) const;
+  template <typename Service>
+  friend QueryResult ExecuteQuery(const Service&, const resource::MultiQuery&,
+                                  QueryScratch&);
+  /// Routes to the range's lower endpoint in the attribute's hub, then walks
+  /// hub successors across the range (executor contract:
+  /// query_executor.hpp).
+  void ResolveSub(NodeAddr requester, const resource::SubQuery& sub,
+                  double lo, double hi, SubRole role, QueryScratch& scratch,
+                  QueryStats& stats,
+                  std::vector<resource::ResourceInfo>& matches) const;
 
   /// Adapter wiring one hub's membership events back to the service.
   class HubObserver final : public chord::MembershipObserver {

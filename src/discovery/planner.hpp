@@ -1,5 +1,5 @@
-// Selectivity-driven multi-attribute query planning, shared by all four
-// discovery services (`--plan`).
+// Selectivity-driven multi-attribute query planning (`--plan`), applied to
+// all five discovery services by the shared executor (query_executor.hpp).
 //
 // The plan itself is trivial database machinery applied to the paper's
 // workload: estimate each sub-query's match count from the directory-fed
@@ -35,7 +35,7 @@
 
 namespace lorm::discovery {
 
-/// Reusable buffers for one planned query execution.
+/// Reusable buffers for one query execution (query_executor.hpp).
 struct PlanScratch {
   std::vector<double> lo;          ///< per-sub ordinal range, query order
   std::vector<double> hi;

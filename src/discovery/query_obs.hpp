@@ -1,8 +1,9 @@
 // Call-site-cached observability instruments for the discovery services.
 //
-// Each service caches one instance per operation in a function-local static,
-// so the name-keyed registry lookups happen once per process and the
-// per-query cost is the MetricsEnabled() gate plus a few relaxed atomic adds.
+// One instance per service and operation lives in a function-local static
+// (ExecuteQuery's per service type, each Advertise's own), so the name-keyed
+// registry lookups happen once per process and the per-query cost is the
+// MetricsEnabled() gate plus a few relaxed atomic adds.
 #pragma once
 
 #include <string>

@@ -1,12 +1,9 @@
 #include "discovery/sword_service.hpp"
 
-#include <algorithm>
-
 #include "common/error.hpp"
-#include "discovery/join.hpp"
+#include "discovery/query_executor.hpp"
 #include "discovery/query_obs.hpp"
 #include "obs/flight.hpp"
-#include "obs/trace.hpp"
 
 namespace lorm::discovery {
 
@@ -90,210 +87,21 @@ HopCount SwordService::Advertise(const resource::ResourceInfo& info) {
 
 QueryResult SwordService::Query(const resource::MultiQuery& q,
                                 QueryScratch& scratch) const {
-  if (cfg_.plan) return QueryPlanned(q, scratch);
-  QueryResult result;
-  LORM_CHECK_MSG(ring_.Contains(q.requester),
-                 "requester is not a member of the overlay");
-
-  const bool joined = result_cache_.enabled() && !q.subs.empty();
-  if (joined) {
-    PlanScratch& ps = scratch.plan;
-    ComputeSubRanges(registry_, q, ps);
-    CanonicalSubKeys(q, ps);
-    if (JoinedCacheFetch(result_cache_, ps, q.subs.size(), result.per_sub,
-                         result.providers)) {
-      for (const auto& sub : q.subs) {
-        const obs::SubQueryScope sub_trace(sub.attr);
-        result.stats.sub_costs.push_back(0);
-      }
-      static QueryInstruments query_obs("SWORD");
-      query_obs.Record(result.stats);
-      return result;
-    }
-  }
-
-  for (const auto& sub : q.subs) {
-    const obs::SubQueryScope sub_trace(sub.attr);
-    const HopCount cost_before =
-        result.stats.dht_hops + static_cast<HopCount>(result.stats.walk_steps);
-    const auto& schema = registry_.Get(sub.attr);
-    const double lo = schema.OrdinalOf(sub.range.lo);
-    const double hi = schema.OrdinalOf(sub.range.hi);
-
-    std::vector<resource::ResourceInfo> matches;
-    if (result_cache_.enabled() &&
-        result_cache_.Lookup(sub.attr, lo, hi, matches)) {
-      // Served from the result cache: no routing, no walk, no probes. The
-      // cached matches are exactly what a fresh resolution would find (the
-      // range root depends on the range, never on the requester).
-      result.per_sub.push_back(std::move(matches));
-      result.stats.sub_costs.push_back(0);
-      continue;
-    }
-    const bool failed_before = result.stats.failed;
-    chord::LookupResult& res = scratch.chord;
-    ring_.LookupInto(KeyFor(sub.attr), q.requester, res);
-    result.stats.lookups += 1;
-    result.stats.dht_hops += res.hops;
-    if (!res.ok) {
-      result.stats.failed = true;
-      result.per_sub.push_back(std::move(matches));
-      result.stats.sub_costs.push_back(
-          result.stats.dht_hops +
-          static_cast<HopCount>(result.stats.walk_steps) - cost_before);
-      continue;
-    }
-    // The attribute's entire directory is at the root: ranges resolve
-    // locally, no forwarding (Theorem 4.9's m visited nodes per query).
-    result.stats.visited_nodes += 1;
-    visit_counts_.Record(res.owner);
-    const auto* dir = store_.Find(res.owner);
-    std::uint64_t replica_hits = 0;
-    if (dir != nullptr) {
-      dir->ForEachMatch(sub.attr, lo, hi, [&](const Store::Entry& e) {
-        matches.push_back(e.info);
-        if (e.replica != 0) ++replica_hits;
-      });
-    }
-    result.stats.replica_hits += replica_hits;
-    obs::OnDirectoryProbe(res.owner, matches.size(),
-                          dir != nullptr ? dir->size() : 0, replica_hits);
-    DedupMatches(matches);  // a replica can share the root after churn
-    if (result.stats.failed == failed_before) {
-      // Only fully resolved sub-queries are cacheable; a truncated
-      // resolution would freeze an incomplete answer.
-      result_cache_.Store(sub.attr, lo, hi, matches);
-    }
-    result.per_sub.push_back(std::move(matches));
-    result.stats.sub_costs.push_back(
-        result.stats.dht_hops + static_cast<HopCount>(result.stats.walk_steps) -
-        cost_before);
-  }
-
-  result.providers = JoinProviders(result.per_sub);
-  result.providers.erase(
-      std::remove_if(result.providers.begin(), result.providers.end(),
-                     [&](NodeAddr p) { return !ring_.Contains(p); }),
-      result.providers.end());
-  if (joined && !result.stats.failed) {
-    JoinedCacheStore(result_cache_, scratch.plan, result.per_sub,
-                     result.providers);
-  }
-  static QueryInstruments query_obs("SWORD");
-  query_obs.Record(result.stats);
-  return result;
+  return ExecuteQuery(*this, q, scratch);
 }
 
-QueryResult SwordService::QueryPlanned(const resource::MultiQuery& q,
-                                       QueryScratch& scratch) const {
-  QueryResult result;
-  LORM_CHECK_MSG(ring_.Contains(q.requester),
-                 "requester is not a member of the overlay");
-  const std::size_t k = q.subs.size();
-  PlanScratch& ps = scratch.plan;
-  ComputeSubRanges(registry_, q, ps);
-  const bool joined = result_cache_.enabled() && k > 0;
-  if (joined) {
-    CanonicalSubKeys(q, ps);
-    if (JoinedCacheFetch(result_cache_, ps, k, result.per_sub,
-                         result.providers)) {
-      for (const auto& sub : q.subs) {
-        const obs::SubQueryScope sub_trace(sub.attr);
-        result.stats.sub_costs.push_back(0);
-      }
-      static QueryInstruments query_obs("SWORD");
-      query_obs.Record(result.stats);
-      return result;
-    }
-  }
-  PlanOrder(selectivity_, q, ps);
-  obs::OnPlanOrder(ps.order.data(), ps.order.size());
-
-  result.per_sub.resize(k);
-  result.stats.sub_costs.assign(k, 0);
-  ps.candidates.clear();
-  bool pruned = false;
-  bool first = true;
-  for (std::size_t rank = 0; rank < k; ++rank) {
-    const std::uint32_t idx = ps.order[rank];
-    const auto& sub = q.subs[idx];
-    const obs::SubQueryScope sub_trace(sub.attr);
-    if (pruned) {
-      // The join is already empty; this sub-query cannot resurrect it.
-      obs::OnSubQueryCandidates(0);
-      TickPlanSubsSkipped(1);
-      continue;
-    }
-    const HopCount cost_before =
-        result.stats.dht_hops + static_cast<HopCount>(result.stats.walk_steps);
-    const double lo = ps.lo[idx];
-    const double hi = ps.hi[idx];
-
-    std::vector<resource::ResourceInfo>& matches = result.per_sub[idx];
-    if (result_cache_.enabled() &&
-        result_cache_.Lookup(sub.attr, lo, hi, matches)) {
-      // Served from the per-sub cache: zero cost, as on the classic path.
-    } else {
-      const bool failed_before = result.stats.failed;
-      chord::LookupResult& res = scratch.chord;
-      ring_.LookupInto(KeyFor(sub.attr), q.requester, res);
-      result.stats.lookups += 1;
-      result.stats.dht_hops += res.hops;
-      if (res.ok) {
-        result.stats.visited_nodes += 1;
-        visit_counts_.Record(res.owner);
-        const auto* dir = store_.Find(res.owner);
-        std::uint64_t replica_hits = 0;
-        if (dir != nullptr) {
-          dir->ForEachMatch(sub.attr, lo, hi, [&](const Store::Entry& e) {
-            matches.push_back(e.info);
-            if (e.replica != 0) ++replica_hits;
-          });
-        }
-        result.stats.replica_hits += replica_hits;
-        obs::OnDirectoryProbe(res.owner, matches.size(),
-                              dir != nullptr ? dir->size() : 0, replica_hits);
-        DedupMatches(matches);
-        if (result.stats.failed == failed_before) {
-          result_cache_.Store(sub.attr, lo, hi, matches);
-        }
-      } else {
-        result.stats.failed = true;
-      }
-      result.stats.sub_costs[idx] =
-          result.stats.dht_hops +
-          static_cast<HopCount>(result.stats.walk_steps) - cost_before;
-    }
-
-    ProvidersOf(matches, ps.providers);
-    if (first) {
-      ps.candidates = ps.providers;
-      first = false;
-    } else {
-      IntersectSorted(ps.candidates, ps.providers, ps.tmp);
-    }
-    obs::OnSubQueryCandidates(ps.candidates.size());
-    if (ps.candidates.empty() && rank + 1 < k) {
-      pruned = true;
-      TickPlanEarlyExit();
-      if (obs::FlightEnabled()) {
-        obs::RecordFlight(obs::FlightEventKind::kPlannerEarlyExit, name(),
-                          q.requester, rank + 1, k - rank - 1);
-      }
-    }
-  }
-
-  result.providers = ps.candidates;
-  result.providers.erase(
-      std::remove_if(result.providers.begin(), result.providers.end(),
-                     [&](NodeAddr p) { return !ring_.Contains(p); }),
-      result.providers.end());
-  if (joined && !result.stats.failed && !pruned) {
-    JoinedCacheStore(result_cache_, ps, result.per_sub, result.providers);
-  }
-  static QueryInstruments query_obs("SWORD");
-  query_obs.Record(result.stats);
-  return result;
+void SwordService::ResolveSub(
+    NodeAddr requester, const resource::SubQuery& sub, double lo, double hi,
+    SubRole /*role*/, QueryScratch& scratch, QueryStats& stats,
+    std::vector<resource::ResourceInfo>& matches) const {
+  chord::LookupResult& res = scratch.chord;
+  if (!RouteSub(ring_, KeyFor(sub.attr), requester, res, stats)) return;
+  // The attribute's entire directory is at the root: ranges resolve
+  // locally, no forwarding (Theorem 4.9's m visited nodes per query).
+  stats.visited_nodes += 1;
+  visit_counts_.Record(res.owner);
+  ProbeDirectory(store_, res.owner, sub.attr, lo, hi, kAnyEntry, matches,
+                 stats);
 }
 
 std::vector<double> SwordService::QueryLoadCounts() const {
@@ -329,14 +137,10 @@ std::size_t SwordService::WithdrawProvider(NodeAddr provider) {
   return store_.EraseProviderEverywhere(provider);
 }
 
-namespace {
-constexpr auto kAllEntries = [](const auto&) { return true; };
-}  // namespace
-
 void SwordService::OnJoin(NodeAddr node, NodeAddr successor) {
   result_cache_.InvalidateAll();  // the join re-homed part of some arc
   if (cfg_.replicas > 1) {
-    ChordReplicaJoin(ring_, store_, cfg_.replicas, node, repl_, kAllEntries);
+    ChordReplicaJoin(ring_, store_, cfg_.replicas, node, repl_, kAnyEntry);
     return;
   }
   if (node == successor) return;
@@ -349,7 +153,7 @@ void SwordService::OnJoin(NodeAddr node, NodeAddr successor) {
 void SwordService::OnFail(NodeAddr node) {
   result_cache_.InvalidateAll();
   if (cfg_.replicas > 1) {
-    ChordReplicaFail(ring_, store_, cfg_.replicas, node, repl_, kAllEntries);
+    ChordReplicaFail(ring_, store_, cfg_.replicas, node, repl_, kAnyEntry);
   }
   store_.Drop(node);  // the crashed node's copies do not survive
 }
@@ -357,7 +161,7 @@ void SwordService::OnFail(NodeAddr node) {
 void SwordService::OnLeave(NodeAddr node, NodeAddr successor) {
   result_cache_.InvalidateAll();
   if (cfg_.replicas > 1) {
-    ChordReplicaLeave(ring_, store_, cfg_.replicas, node, repl_, kAllEntries);
+    ChordReplicaLeave(ring_, store_, cfg_.replicas, node, repl_, kAnyEntry);
     store_.Drop(node);
     return;
   }

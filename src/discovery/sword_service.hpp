@@ -94,8 +94,15 @@ class SwordService final : public DiscoveryService,
  private:
   using Store = DirectoryStore<chord::Key>;
 
-  QueryResult QueryPlanned(const resource::MultiQuery& q,
-                           QueryScratch& scratch) const;
+  template <typename Service>
+  friend QueryResult ExecuteQuery(const Service&, const resource::MultiQuery&,
+                                  QueryScratch&);
+  /// One lookup to the attribute root, whose directory answers the whole
+  /// range (executor contract: query_executor.hpp).
+  void ResolveSub(NodeAddr requester, const resource::SubQuery& sub,
+                  double lo, double hi, SubRole role, QueryScratch& scratch,
+                  QueryStats& stats,
+                  std::vector<resource::ResourceInfo>& matches) const;
 
   void OnJoin(NodeAddr node, NodeAddr successor) override;
   void OnLeave(NodeAddr node, NodeAddr successor) override;

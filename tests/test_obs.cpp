@@ -411,11 +411,10 @@ TEST(TraceRoundTrip, RejectsMalformedLines) {
 }
 
 TEST(TraceRoundTrip, EverySystemsRealTracesSurvive) {
-  // Real traces from all four systems — notably MAAN's two lookups per
-  // sub-query (one per range bound) — must round-trip byte-exact.
-  for (const auto kind :
-       {harness::SystemKind::kLorm, harness::SystemKind::kMercury,
-        harness::SystemKind::kSword, harness::SystemKind::kMaan}) {
+  // Real traces from all five systems — notably MAAN's and D1HT's two
+  // lookups per sub-query (attribute root, then value root) — must
+  // round-trip byte-exact.
+  for (const auto kind : harness::AllSystems()) {
     auto bed = testutil::MakeBed(kind);
     MemoryTraceSink sink;
     SetGlobalTraceSink(&sink);
@@ -431,10 +430,11 @@ TEST(TraceRoundTrip, EverySystemsRealTracesSurvive) {
     ASSERT_EQ(traces.size(), 8u);
     for (const QueryTrace& t : traces) {
       ExpectRoundTrips(t);
-      if (kind == harness::SystemKind::kMaan) {
+      if (kind == harness::SystemKind::kMaan ||
+          kind == harness::SystemKind::kD1ht) {
         for (const SubQueryTrace& sub : t.subs) {
           EXPECT_EQ(sub.lookups.size(), 2u)
-              << "MAAN resolves a range with one lookup per bound";
+              << "MAAN placement resolves a range with two lookups";
         }
       }
     }

@@ -9,7 +9,10 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <map>
 #include <memory>
+#include <set>
+#include <string>
 #include <vector>
 
 #include "discovery/d1ht_service.hpp"
@@ -179,7 +182,7 @@ TEST(PlannerEquivalence, AllSystemsReplicatedUnderCrashChurn) {
 TEST(PlannerEquivalence, ParallelPlannedReplayIsDeterministic) {
   // The planner's scratch is per-worker; sharded replay must stay
   // bit-identical across jobs x batch, as the classic path guarantees.
-  for (const auto kind : {SystemKind::kSword, SystemKind::kMaan}) {
+  for (const auto kind : harness::AllSystems()) {
     harness::Setup setup = harness::Setup::Small();
     setup.plan = true;
     auto bed = MakeBed(kind, setup);
@@ -199,6 +202,105 @@ TEST(PlannerEquivalence, ParallelPlannedReplayIsDeterministic) {
     EXPECT_EQ(serial.total_visited, parallel.total_visited);
     EXPECT_EQ(serial.avg_matches, parallel.avg_matches);
     EXPECT_EQ(serial.failures, parallel.failures);
+  }
+}
+
+// ---- Early exit ------------------------------------------------------------
+
+/// A point sub-query on `attr` that matches no advertised tuple: the midpoint
+/// between two adjacent distinct advertised values.
+resource::SubQuery EmptySub(const testutil::Bed& bed, AttrId attr) {
+  std::vector<double> values;
+  for (const auto& info : bed.infos) {
+    if (info.attr == attr) values.push_back(info.value.num());
+  }
+  std::sort(values.begin(), values.end());
+  values.erase(std::unique(values.begin(), values.end()), values.end());
+  EXPECT_GE(values.size(), 2u);
+  const double gap = 0.5 * (values[0] + values[1]);
+  return {attr, resource::ValueRange::Point(resource::AttrValue::Number(gap))};
+}
+
+resource::SubQuery FullSpanSub(const testutil::Bed& bed, AttrId attr) {
+  const auto& cfg = bed.workload->config();
+  return {attr, resource::ValueRange::Between(
+                    resource::AttrValue::Number(cfg.value_min),
+                    resource::AttrValue::Number(cfg.value_max))};
+}
+
+void ExpectEarlyExit(SystemKind kind, bool cache) {
+  MetricsScope metrics;
+  harness::Setup setup = harness::Setup::Small();
+  setup.plan = true;
+  setup.cache = cache;
+  auto bed = MakeBed(kind, setup);
+  const std::string label = bed.service->name() + " cache=" +
+                            (cache ? "on" : "off");
+
+  // Three attributes one provider advertises, so their full-span join is
+  // non-empty, and a fourth attribute for the empty sub-query.
+  std::map<NodeAddr, std::set<AttrId>> attrs_of;
+  for (const auto& info : bed.infos) attrs_of[info.provider].insert(info.attr);
+  const auto rich = std::max_element(
+      attrs_of.begin(), attrs_of.end(), [](const auto& a, const auto& b) {
+        return a.second.size() < b.second.size();
+      });
+  ASSERT_GE(rich->second.size(), 3u);
+  std::vector<AttrId> attrs(rich->second.begin(), rich->second.end());
+  AttrId other = 0;
+  while (rich->second.count(other) != 0) ++other;
+
+  // The empty sub-query sits mid-query; the planner must run it first (it
+  // is by far the most selective) and skip the other three.
+  resource::MultiQuery q;
+  q.requester = 7;
+  q.subs = {FullSpanSub(bed, attrs[0]), FullSpanSub(bed, attrs[1]),
+            EmptySub(bed, other), FullSpanSub(bed, attrs[2])};
+  const std::size_t empty = 2;
+  const std::size_t k = q.subs.size();
+
+  const std::uint64_t exits0 = CounterValue("lorm.plan.early_exits");
+  const std::uint64_t skipped0 = CounterValue("lorm.plan.subs_skipped");
+  const std::uint64_t inserts0 =
+      CounterValue("lorm.cache.result.joined_inserts");
+  const auto r = bed.service->Query(q);
+  EXPECT_TRUE(r.providers.empty()) << label;
+  ASSERT_EQ(r.per_sub.size(), k) << label;
+  ASSERT_EQ(r.stats.sub_costs.size(), k) << label;
+  for (std::size_t i = 0; i < k; ++i) {
+    EXPECT_TRUE(r.per_sub[i].empty()) << label << " sub " << i;
+    if (i != empty) {
+      EXPECT_EQ(r.stats.sub_costs[i], 0u) << label << " skipped sub " << i;
+    }
+  }
+  EXPECT_FALSE(r.stats.failed) << label;
+  EXPECT_EQ(CounterValue("lorm.plan.early_exits"), exits0 + 1) << label;
+  EXPECT_EQ(CounterValue("lorm.plan.subs_skipped"), skipped0 + (k - 1))
+      << label;
+  // A pruned answer is never stored in the joined cache.
+  EXPECT_EQ(CounterValue("lorm.cache.result.joined_inserts"), inserts0)
+      << label;
+
+  // Without the empty sub-query nothing is pruned and, with the cache on,
+  // the joined answer is stored.
+  q.subs.erase(q.subs.begin() + empty);
+  const auto full = bed.service->Query(q);
+  EXPECT_FALSE(full.providers.empty()) << label;
+  EXPECT_EQ(CounterValue("lorm.plan.early_exits"), exits0 + 1) << label;
+  EXPECT_EQ(CounterValue("lorm.cache.result.joined_inserts"),
+            inserts0 + (cache ? 1 : 0))
+      << label;
+}
+
+TEST(PlannerEarlyExit, EmptyMostSelectiveSubSkipsTheRest) {
+  for (const auto kind : harness::AllSystems()) {
+    ExpectEarlyExit(kind, /*cache=*/false);
+  }
+}
+
+TEST(PlannerEarlyExit, PrunedAnswerIsNeverJoinedCached) {
+  for (const auto kind : harness::AllSystems()) {
+    ExpectEarlyExit(kind, /*cache=*/true);
   }
 }
 
