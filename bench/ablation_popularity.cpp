@@ -57,7 +57,6 @@ int main(int argc, char** argv) {
       qcfg.range = true;
       qcfg.seed = 0x21BF + static_cast<std::uint64_t>(zipf * 10);
       qcfg.jobs = opt.jobs;
-      qcfg.batch = opt.batch == 0 ? 1 : opt.batch;
       harness::RunQueries(*service, workload, qcfg);
 
       const auto loads = service->QueryLoadCounts();

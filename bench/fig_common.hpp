@@ -40,10 +40,6 @@ struct BenchOptions {
   bool csv = false;     ///< machine-readable table rows
   bool json = false;    ///< emit a machine-readable summary line at exit
   std::size_t jobs = 1; ///< worker threads (--jobs; default hw concurrency)
-  /// Lookup/trial batch width (--batch). Figure benches feed this to
-  /// QueryExperimentConfig::batch (block-granular trial scheduling);
-  /// fig_scale drives the BatchLookupEngine with it. 0 = bench default.
-  std::size_t batch = 0;
   bool metrics = false;          ///< record + emit the metrics registry
   std::string metrics_file;      ///< --metrics=<file>: write JSON there
   std::string trace_file;        ///< --trace=<file>: per-query JSON lines
@@ -128,7 +124,7 @@ inline BenchOptions ParseOptions(
   for (int i = 1; i < argc; ++i) {
     const char* arg = argv[i];
     const char* v = nullptr;
-    // `--jobs N` / `--batch N` take their value from the next argument.
+    // `--jobs N` takes its value from the next argument.
     const auto next = [&] {
       if (i + 1 >= argc) RejectFlag(arg, "missing value");
       return argv[++i];
@@ -169,10 +165,6 @@ inline BenchOptions ParseOptions(
       opt.jobs = ResolveJobs(ParseCount(arg, next()));
     } else if ((v = value_of(arg, "--jobs=")) != nullptr) {
       opt.jobs = ResolveJobs(ParseCount(arg, v));
-    } else if (std::strcmp(arg, "--batch") == 0) {
-      opt.batch = ParseCount(arg, next());
-    } else if ((v = value_of(arg, "--batch=")) != nullptr) {
-      opt.batch = ParseCount(arg, v);
     } else if (!own_flag || !own_flag(arg)) {
       RejectFlag(arg, "unknown flag");
     }

@@ -6,10 +6,8 @@
 // estimate is visible (measured Chord hops run above log2(n)/2 on small
 // rings). Sweeping three decades shows the bias shrinking as n grows, and
 // stresses the substrate where it actually hurts: at 10^6 nodes the slab no
-// longer fits in cache and every hop is a DRAM round-trip. Each point also
-// times the batched, software-pipelined lookup engine (--batch, default 16
-// walks in flight) against the plain sequential walk, and cross-checks that
-// both routed every request identically (same total hops, same owners).
+// longer fits in cache and every hop is a DRAM round-trip. Each point times
+// the sequential walk and reports its per-lookup tail.
 //
 // Networks are built with MakeRing/MakeCycloidBulk — identical converged
 // state to n sequential joins + StabilizeAll, without the O(n^2) per-join
@@ -21,25 +19,28 @@
 // sweep at 65536 nodes; the full run reaches 1048576.
 #include <sys/resource.h>
 
-#include <type_traits>
-
 #include "analysis/theorems.hpp"
 #include "chord/chord.hpp"
 #include "cycloid/cycloid.hpp"
 #include "fig_common.hpp"
-#include "harness/batch_lookup.hpp"
 
 namespace {
 
 using namespace lorm;
 
-/// One measured sweep point, sequential vs batched over the same requests.
+/// One lookup to time: route `key` from `origin`.
+template <typename Key>
+struct Request {
+  Key key;
+  NodeAddr origin;
+};
+
+/// One measured sweep point.
 struct ScalePoint {
   double avg_hops = 0;
   double seq_ns = 0;
-  double batch_ns = 0;
   double mem_mb = 0;
-  obs::LatencyTail tail;  ///< per-lookup wall time, sequential walk (ns)
+  obs::LatencyTail tail;  ///< per-lookup wall time (ns)
 };
 
 double NowNs() {
@@ -54,20 +55,15 @@ unsigned BitsFor(std::size_t n) {
   return bits + 4;  // headroom keeps the id space sparse enough for salting
 }
 
-/// Times `reqs` through `ring` sequentially (traced when a sink is
-/// installed) and through the batch engine (untraced), cross-checking that
-/// both walks routed identically. Aborts on divergence: the batch engine's
-/// whole value rests on being byte-identical to the sequential walk.
-template <typename Ring>
-ScalePoint MeasurePoint(
-    const Ring& ring, const char* trace_system,
-    const std::vector<typename harness::BatchLookupEngine<Ring>::Request>& reqs,
-    std::size_t batch) {
+/// Times `reqs` through `ring` one lookup at a time (traced when a sink is
+/// installed).
+template <typename Ring, typename Key>
+ScalePoint MeasurePoint(const Ring& ring, const char* trace_system,
+                        const std::vector<Request<Key>>& reqs) {
   ScalePoint p;
-  typename Ring::LookupResultType res;
+  decltype(ring.Lookup(reqs.front().key, reqs.front().origin)) res;
 
-  std::uint64_t seq_hops = 0;
-  std::uint64_t seq_owner_sum = 0;
+  std::uint64_t hops = 0;
   const bool traced = obs::GetGlobalTraceSink() != nullptr;
   const std::uint64_t id_base =
       traced ? obs::ReserveQueryIds(reqs.size()) : 0;
@@ -76,8 +72,8 @@ ScalePoint MeasurePoint(
   // histogram. The boundary read is the same clock the mean already pays,
   // so the p50 column stays comparable with seq ns.
   obs::LatencyHistogram hist;
-  const double seq_start = NowNs();
-  double prev = seq_start;
+  const double start = NowNs();
+  double prev = start;
   for (std::size_t i = 0; i < reqs.size(); ++i) {
     if (traced) {
       const obs::QueryTraceScope scope(trace_system, id_base + i);
@@ -85,42 +81,14 @@ ScalePoint MeasurePoint(
     } else {
       ring.LookupInto(reqs[i].key, reqs[i].origin, res);
     }
-    seq_hops += res.hops;
-    seq_owner_sum += res.owner;
+    hops += res.hops;
     const double now = NowNs();
     hist.Record(static_cast<std::uint64_t>(std::max(0.0, now - prev)));
     prev = now;
   }
-  p.seq_ns = (prev - seq_start) / static_cast<double>(reqs.size());
+  p.seq_ns = (prev - start) / static_cast<double>(reqs.size());
   p.tail = obs::SummarizeTail(hist);
-
-  std::uint64_t batch_hops = 0;
-  std::uint64_t batch_owner_sum = 0;
-  // Chord's hop reads only computed addresses (header with embedded
-  // successor(0), id-mirror tail), so one prefetch stage issued after each
-  // step covers it a full lane round ahead; Cycloid still chases link
-  // targets and pipelines 3 deep.
-  const unsigned stages = std::is_same_v<Ring, chord::ChordRing> ? 1u : 3u;
-  harness::BatchLookupEngine<Ring> engine(batch, stages);
-  // Warm the lane results so the timed run replays allocation-free.
-  engine.Run(ring, reqs.data(), std::min<std::size_t>(reqs.size(), batch),
-             [&](std::size_t, const typename Ring::LookupResultType&) {});
-  const double batch_start = NowNs();
-  engine.Run(ring, reqs.data(), reqs.size(),
-             [&](std::size_t, const typename Ring::LookupResultType& r) {
-               batch_hops += r.hops;
-               batch_owner_sum += r.owner;
-             });
-  p.batch_ns = (NowNs() - batch_start) / static_cast<double>(reqs.size());
-
-  if (batch_hops != seq_hops || batch_owner_sum != seq_owner_sum) {
-    std::cerr << "FATAL: batch engine diverged from sequential walk (hops "
-              << batch_hops << " vs " << seq_hops << ", owner checksum "
-              << batch_owner_sum << " vs " << seq_owner_sum << ")\n";
-    std::exit(1);
-  }
-  p.avg_hops =
-      static_cast<double>(seq_hops) / static_cast<double>(reqs.size());
+  p.avg_hops = static_cast<double>(hops) / static_cast<double>(reqs.size());
   p.mem_mb = static_cast<double>(ring.ApproxMemoryBytes()) / (1024.0 * 1024.0);
   return p;
 }
@@ -136,8 +104,6 @@ void PrintRow(harness::TablePrinter& table, const char* system, std::size_t n,
              harness::TablePrinter::Num(p.seq_ns, 1),
              std::to_string(p.tail.p50), std::to_string(p.tail.p99),
              std::to_string(p.tail.p999),
-             harness::TablePrinter::Num(p.batch_ns, 1),
-             harness::TablePrinter::Num(p.seq_ns / p.batch_ns, 2),
              harness::TablePrinter::Num(p.mem_mb, 1)});
 }
 
@@ -151,7 +117,6 @@ int main(int argc, char** argv) {
     only_n = bench::ParseCount(arg, arg + 4);
     return true;
   });
-  const std::size_t batch = opt.batch == 0 ? 16 : opt.batch;
 
   harness::PrintBanner(
       std::cout, "Scaling — hops/lookup and ns/lookup vs n",
@@ -161,13 +126,11 @@ int main(int argc, char** argv) {
   if (opt.quick) sizes = {1024, 4096, 16384, 65536};
   if (only_n != 0) sizes = {only_n};
   const std::size_t queries = opt.quick ? 4000 : 20000;
-  std::cout << "batch=" << batch << ", " << queries
-            << " lookups/point, bulk-built networks\n\n";
+  std::cout << queries << " lookups/point, bulk-built networks\n\n";
 
   harness::TablePrinter table(
       std::cout, {"system", "n", "bits/d", "hops", "analysis", "bias%",
-                  "seq ns", "p50", "p99", "p999", "batch ns", "speedup",
-                  "mem MB"},
+                  "seq ns", "p50", "p99", "p999", "mem MB"},
       10);
   table.PrintHeader();
 
@@ -182,15 +145,15 @@ int main(int argc, char** argv) {
       const auto ring = chord::MakeRing(n, cfg, /*deterministic_ids=*/false);
       const auto members = ring.Members();
       Rng rng(0xF165CA1Eull + n);
-      std::vector<harness::BatchLookupEngine<chord::ChordRing>::Request> reqs;
+      std::vector<Request<chord::Key>> reqs;
       reqs.reserve(queries);
       for (std::size_t i = 0; i < queries; ++i) {
         reqs.push_back({rng.NextBelow(ring.space()),
                         members[rng.NextBelow(members.size())]});
       }
-      const auto p = MeasurePoint(ring, "Chord", reqs, batch);
+      const auto p = MeasurePoint(ring, "Chord", reqs);
       PrintRow(table, "Chord", n, cfg.bits, p, analysis::ChordLookupHops(model));
-      total_lookups += 2 * queries;
+      total_lookups += queries;
     }
 
     {
@@ -206,17 +169,16 @@ int main(int argc, char** argv) {
       const auto members = net.Members();
       const unsigned d = net.dimension();
       Rng rng(0xF165C7C101Dull + n);
-      std::vector<harness::BatchLookupEngine<cycloid::CycloidNetwork>::Request>
-          reqs;
+      std::vector<Request<cycloid::CycloidId>> reqs;
       reqs.reserve(queries);
       for (std::size_t i = 0; i < queries; ++i) {
         reqs.push_back({{static_cast<unsigned>(rng.NextBelow(d)),
                          rng.NextBelow(std::uint64_t{1} << d)},
                         members[rng.NextBelow(members.size())]});
       }
-      const auto p = MeasurePoint(net, "LORM", reqs, batch);
+      const auto p = MeasurePoint(net, "LORM", reqs);
       PrintRow(table, "LORM", n_cyc, d, p, analysis::CycloidLookupHops(model));
-      total_lookups += 2 * queries;
+      total_lookups += queries;
     }
   }
 
@@ -227,8 +189,7 @@ int main(int argc, char** argv) {
                    static_cast<double>(usage.ru_maxrss) / 1024.0, 1)
             << " MB\n";
   std::cout << "shape check: bias% shrinks as n grows (finite-size bias of "
-               "the theorem hop estimates); speedup > 1 once the slab "
-               "outgrows cache\n";
+               "the theorem hop estimates)\n";
   bench::FinishBench(opt, "fig_scale", total_lookups);
   return 0;
 }

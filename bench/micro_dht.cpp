@@ -13,7 +13,6 @@
 #include "common/random.hpp"
 #include "common/sha1.hpp"
 #include "cycloid/cycloid.hpp"
-#include "harness/batch_lookup.hpp"
 
 namespace {
 
@@ -210,101 +209,6 @@ void BM_ChordLookupScratch(benchmark::State& state) {
                              benchmark::Counter::kInvert);
 }
 BENCHMARK(BM_ChordLookupScratch)->Arg(256)->Arg(2048)->Arg(16384);
-
-/// The batched, software-pipelined engine over the same request pattern the
-/// Scratch loop times: 32 walks in flight, each hop prefetched three stages
-/// ahead while the other walks execute. One benchmark iteration routes the
-/// whole pre-generated pool; time/iteration divided by the pool size is the
-/// batched ns/lookup. `batch_speedup` is sequential-vs-batched measured on
-/// the spot (chrono over the same pool), so the headline ratio survives in
-/// the JSON even when only this benchmark is run.
-void BM_ChordLookupBatch(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  chord::Config cfg;
-  cfg.bits = 24;
-  auto ring = chord::MakeRing(n, cfg, /*deterministic_ids=*/false);
-  const auto members = ring.Members();
-
-  const std::size_t kPool = 8192;
-  std::vector<harness::BatchLookupEngine<chord::ChordRing>::Request> reqs;
-  reqs.reserve(kPool);
-  Rng rng(7);
-  for (std::size_t i = 0; i < kPool; ++i) {
-    reqs.push_back({rng.NextBelow(ring.space()),
-                    members[rng.NextBelow(members.size())]});
-  }
-
-  // 16 lanes, 1 pipeline stage: a fresh Chord ring reads only the header
-  // line (successor(0) cached inside it) and the finger-extent tail, both
-  // at addresses computed from the slot index, so stage 0 issued right
-  // after each step covers everything — the prefetch-to-use distance is a
-  // full round of lanes. Extra stages only add round-robin overhead, and
-  // 16 lanes already put ~10 independent misses in flight.
-  harness::BatchLookupEngine<chord::ChordRing> engine(16, 1);
-  // Micro-assert: the pipelined walks must return bit-identical results to
-  // the plain sequential walk before we time anything.
-  {
-    chord::LookupResult want;
-    bool ok = true;
-    engine.Run(ring, reqs.data(), 512,
-               [&](std::size_t i, const chord::LookupResult& got) {
-                 ring.LookupInto(reqs[i].key, reqs[i].origin, want);
-                 ok = ok && SameLookup(got, want) &&
-                      got.cache_hits == want.cache_hits;
-               });
-    if (!ok) {
-      state.SkipWithError("batch engine disagrees with sequential walk");
-      return;
-    }
-  }
-
-  // Calibration: sequential vs batched over the identical pool, so the
-  // speedup is computed from the same requests on the same warm slab.
-  double seq_ns = 0;
-  double batch_ns = 0;
-  {
-    chord::LookupResult res;
-    const auto t0 = std::chrono::steady_clock::now();
-    for (const auto& req : reqs) ring.LookupInto(req.key, req.origin, res);
-    const auto t1 = std::chrono::steady_clock::now();
-    std::uint64_t sink = 0;
-    engine.Run(ring, reqs.data(), reqs.size(),
-               [&](std::size_t, const chord::LookupResult& r) {
-                 sink += r.hops;
-               });
-    const auto t2 = std::chrono::steady_clock::now();
-    benchmark::DoNotOptimize(sink);
-    seq_ns = std::chrono::duration<double, std::nano>(t1 - t0).count() /
-             static_cast<double>(kPool);
-    batch_ns = std::chrono::duration<double, std::nano>(t2 - t1).count() /
-               static_cast<double>(kPool);
-  }
-
-  std::uint64_t hops = 0;
-  for (auto _ : state) {
-    engine.Run(ring, reqs.data(), reqs.size(),
-               [&](std::size_t, const chord::LookupResult& r) {
-                 hops += r.hops;
-               });
-  }
-  benchmark::DoNotOptimize(hops);
-  const auto items =
-      static_cast<std::int64_t>(state.iterations() * kPool);
-  state.SetItemsProcessed(items);
-  state.counters["avg_hops"] =
-      static_cast<double>(hops) / static_cast<double>(items);
-  state.counters["per_hop"] =
-      benchmark::Counter(static_cast<double>(hops),
-                         benchmark::Counter::kIsRate |
-                             benchmark::Counter::kInvert);
-  // sec/lookup as an inverse rate (time/iteration here is ns per pool run).
-  state.counters["per_lookup"] =
-      benchmark::Counter(static_cast<double>(items),
-                         benchmark::Counter::kIsRate |
-                             benchmark::Counter::kInvert);
-  state.counters["batch_speedup"] = batch_ns > 0 ? seq_ns / batch_ns : 0;
-}
-BENCHMARK(BM_ChordLookupBatch)->Arg(256)->Arg(2048)->Arg(16384)->Arg(131072);
 
 void BM_CycloidLookupScratch(benchmark::State& state) {
   const auto d = static_cast<unsigned>(state.range(0));

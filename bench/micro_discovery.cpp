@@ -63,10 +63,11 @@ void BM_PointQuery(benchmark::State& state) {
   Fixture f(KindOf(state.range(0)));
   SetLabel(state);
   Rng rng(6);
+  discovery::QueryScratch scratch;  // reused, as the harness does per worker
   for (auto _ : state) {
     const auto q = f.workload->MakePointQuery(
         3, static_cast<NodeAddr>(rng.NextBelow(f.setup.nodes)), rng);
-    benchmark::DoNotOptimize(f.service->Query(q));
+    benchmark::DoNotOptimize(f.service->Query(q, scratch));
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
@@ -76,11 +77,12 @@ void BM_RangeQuery(benchmark::State& state) {
   Fixture f(KindOf(state.range(0)));
   SetLabel(state);
   Rng rng(7);
+  discovery::QueryScratch scratch;
   for (auto _ : state) {
     const auto q = f.workload->MakeRangeQuery(
         3, static_cast<NodeAddr>(rng.NextBelow(f.setup.nodes)),
         resource::RangeStyle::kBounded, rng);
-    benchmark::DoNotOptimize(f.service->Query(q));
+    benchmark::DoNotOptimize(f.service->Query(q, scratch));
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
@@ -92,11 +94,12 @@ void BM_RangeQueryPlanned(benchmark::State& state) {
   Fixture f(KindOf(state.range(0)), /*plan=*/true);
   SetLabel(state);
   Rng rng(7);
+  discovery::QueryScratch scratch;
   for (auto _ : state) {
     const auto q = f.workload->MakeRangeQuery(
         3, static_cast<NodeAddr>(rng.NextBelow(f.setup.nodes)),
         resource::RangeStyle::kBounded, rng);
-    benchmark::DoNotOptimize(f.service->Query(q));
+    benchmark::DoNotOptimize(f.service->Query(q, scratch));
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }

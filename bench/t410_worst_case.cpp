@@ -44,7 +44,6 @@ int main(int argc, char** argv) {
       cfg.style = resource::RangeStyle::kFullSpan;
       cfg.seed = 0x410 + attrs;
       cfg.jobs = opt.jobs;
-      cfg.batch = opt.batch == 0 ? 1 : opt.batch;
       const auto r = harness::RunQueries(*services[kind], workload, cfg);
       const double contacted = r.avg_hops + r.avg_visited;
       double worst = 0;

@@ -673,25 +673,6 @@ LookupResult ChordRing::Lookup(Key key, NodeAddr origin) const {
   return r;
 }
 
-void ChordRing::LookupBegin(Key key, NodeAddr origin, LookupResult& r,
-                            LookupState& st) const {
-  st.out = &r;
-  st.dead_skips = 0;
-  // Timestamp taken only while a trace is active on this thread, so the
-  // off-state cost stays the TLS null check.
-  st.start_ns = obs::TracingActive() ? obs::MonotonicNowNs() : 0;
-  r.ok = false;
-  r.key = key & (space_ - 1);
-  r.owner = kNoNode;
-  r.hops = 0;
-  r.cache_hits = 0;
-  r.path.clear();
-  st.cur = SlotOf(origin);
-  st.max_hops = by_addr_.size() + 4 * cfg_.bits + 8;
-  st.done = st.cur == kNoSlot;
-  if (!st.done) r.path.push_back(origin);
-}
-
 bool ChordRing::StepOnce(LookupState& st, LookupResult& r) const {
   if (OwnsNode(slots_[st.cur], r.key)) {
     r.owner = slots_[st.cur].addr;
@@ -723,8 +704,7 @@ bool ChordRing::StepOnce(LookupState& st, LookupResult& r) const {
     // Fresh ring: successors.front() is live and its cached id/addr are
     // current, so the hop needs no generation derefs at all — not even the
     // next node's header (its address comes from the link). The walk's only
-    // serialized load is this node's own state, which the batch engine
-    // prefetches a full pipeline round ahead.
+    // serialized load is this node's own state.
     if (n.s0_slot == st.cur) {
       r.owner = n.addr;
       r.ok = true;
@@ -772,26 +752,30 @@ bool ChordRing::StepOnce(LookupState& st, LookupResult& r) const {
   return r.hops <= st.max_hops;
 }
 
-bool ChordRing::LookupStep(LookupState& st) const {
-  if (st.done) return false;
-  if (links_fresh_) {
-    // A fresh ring resolves every link from its cached fields — no dead
-    // links can be detected, so skip the counter bookkeeping below.
-    const bool more = StepOnce(st, *st.out);
-    if (!more) st.done = true;
-    return more;
-  }
-  // Attribute dead-link detections to this walk step by step: exact even
-  // when a batch engine interleaves walks over the shared counter.
+void ChordRing::LookupInto(Key key, NodeAddr origin, LookupResult& r) const {
+  // Timestamp taken only while a trace is active on this thread, so the
+  // off-state cost stays the TLS null check.
+  const std::uint64_t start_ns =
+      obs::TracingActive() ? obs::MonotonicNowNs() : 0;
   const std::uint64_t dead_before = maintenance_.dead_links_skipped;
-  const bool more = StepOnce(st, *st.out);
-  st.dead_skips += maintenance_.dead_links_skipped - dead_before;
-  if (!more) st.done = true;
-  return more;
-}
-
-void ChordRing::LookupFinish(LookupState& st) const {
-  LookupResult& r = *st.out;
+  r.ok = false;
+  r.key = key & (space_ - 1);
+  r.owner = kNoNode;
+  r.hops = 0;
+  r.cache_hits = 0;
+  r.path.clear();
+  LookupState st;
+  st.cur = SlotOf(origin);
+  st.max_hops = by_addr_.size() + 4 * cfg_.bits + 8;
+  if (st.cur != kNoSlot) {
+    r.path.push_back(origin);
+    while (StepOnce(st, r)) {
+    }
+  }
+  // Dead links this walk detected. Walks run one at a time, so the
+  // counter's growth across the walk is exactly this walk's share.
+  const std::uint64_t dead_skips =
+      maintenance_.dead_links_skipped - dead_before;
   if (r.ok && route_cache_.enabled() && r.hops > 0) {
     // Teach every node on the path a direct link to the owner.
     const Link owner_link = MakeLink(st.cur);
@@ -812,80 +796,16 @@ void ChordRing::LookupFinish(LookupState& st) const {
         obs::Registry::Global().GetCounter("chord.lookups");
     static obs::Counter& failures =
         obs::Registry::Global().GetCounter("chord.lookup.failures");
-    static obs::Counter& dead_skips = obs::Registry::Global().GetCounter(
+    static obs::Counter& dead_skip_count = obs::Registry::Global().GetCounter(
         "chord.lookup.dead_links_skipped");
     lookups.AddUnchecked(1);
     hops.RecordUnchecked(static_cast<double>(r.hops));
     if (!r.ok) failures.AddUnchecked(1);
-    if (st.dead_skips != 0) dead_skips.AddUnchecked(st.dead_skips);
+    if (dead_skips != 0) dead_skip_count.AddUnchecked(dead_skips);
   }
   const std::uint64_t dur_ns =
-      st.start_ns != 0 ? obs::MonotonicNowNs() - st.start_ns : 0;
-  obs::OnLookup(r.path, r.hops, r.ok, st.dead_skips, dur_ns, r.cache_hits);
-}
-
-void ChordRing::LookupPrefetch(const LookupState& st, unsigned stage) const {
-  if (st.done) return;
-  const Node& n = slots_[st.cur];
-  switch (stage) {
-    case 0: {
-      // Every address below is computed from the slot index alone — no
-      // dependent chase, so one stage covers the whole hop. A fresh step
-      // reads the header line (successor(0) is cached inside it), scans
-      // the id mirror tail-first, then reads the matched link from the
-      // finger extent.
-      __builtin_prefetch(&n, 0, 3);
-      const char* ids = reinterpret_cast<const char*>(SlotFingerIds(st.cur));
-      const std::size_t id_bytes = cfg_.bits * sizeof(Key);
-      const char* iend = ids + id_bytes;
-      constexpr std::size_t kIdTail = 192;  // 24 ids — deeper than most scans
-      for (std::size_t off = 1; off <= id_bytes && off <= kIdTail; off += 64) {
-        __builtin_prefetch(iend - off, 0, 3);
-      }
-      // The matched finger is then read from the full link extent; matches
-      // cluster at the top of the table, so fetch its last two lines.
-      const std::size_t link_bytes = cfg_.bits * sizeof(Link);
-      const char* fend =
-          reinterpret_cast<const char*>(SlotFingers(st.cur)) + link_bytes;
-      __builtin_prefetch(fend - 64, 0, 3);
-      if (link_bytes > 64) __builtin_prefetch(fend - 128, 0, 3);
-      break;
-    }
-    case 1: {
-      // Second level: the link targets whose slab headers the step's
-      // generation checks deref. A fresh ring performs none — the cached
-      // link IDs are authoritative — so the stage is a no-op there. A stale
-      // ring checks the predecessor (OwnsNode), the first successor, and
-      // every scanned finger; cover the targets the scan starts with.
-      if (links_fresh_) break;
-      if (n.predecessor.slot != kNoSlot) {
-        __builtin_prefetch(&slots_[n.predecessor.slot], 0, 3);
-      }
-      const Link* succs = SlotSuccessors(st.cur);
-      if (n.succ_count != 0 && succs[0].slot != kNoSlot) {
-        __builtin_prefetch(&slots_[succs[0].slot], 0, 3);
-      }
-      const Link* fingers = SlotFingers(st.cur);
-      const std::size_t fc = n.finger_count;
-      const std::size_t top = fc > 4 ? fc - 4 : 0;
-      for (std::size_t i = fc; i-- > top;) {
-        if (fingers[i].slot != kNoSlot) {
-          __builtin_prefetch(&slots_[fingers[i].slot], 0, 3);
-        }
-      }
-      break;
-    }
-    default:
-      break;  // the two stages above cover the whole chase
-  }
-}
-
-void ChordRing::LookupInto(Key key, NodeAddr origin, LookupResult& r) const {
-  LookupState st;
-  LookupBegin(key, origin, r, st);
-  while (LookupStep(st)) {
-  }
-  LookupFinish(st);
+      start_ns != 0 ? obs::MonotonicNowNs() - start_ns : 0;
+  obs::OnLookup(r.path, r.hops, r.ok, dead_skips, dur_ns, r.cache_hits);
 }
 
 void ChordRing::SyncSucc0(Node& n) {
@@ -999,9 +919,8 @@ std::size_t ChordRing::ApproxMemoryBytes() const {
 void ChordRing::CollapseSlabs() {
 #if defined(__linux__) && defined(MADV_COLLAPSE)
   // Synchronously back the slabs with transparent huge pages where the
-  // kernel allows it. x86 drops software prefetches whose page walk misses
-  // the TLB, so a multi-hundred-MB slab on 4K pages defeats the lookup
-  // pipeline; 2M pages keep it TLB-resident. Best effort: alignment or
+  // kernel allows it. A multi-hundred-MB slab on 4K pages misses the TLB
+  // on most hops; 2M pages keep it TLB-resident. Best effort: alignment or
   // kernel support may make this a no-op, which only costs speed.
   auto collapse = [](void* p, std::size_t len) {
     constexpr std::uintptr_t kHuge = std::uintptr_t{1} << 21;

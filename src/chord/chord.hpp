@@ -107,14 +107,9 @@ class MembershipObserver {
 
 class ChordRing {
  public:
-  /// Index into the node slot slab. Public so resumable lookup state (and
-  /// the batch engine built on it) can carry slab positions across steps.
+  /// Index into the node slot slab.
   using Slot = std::uint32_t;
   static constexpr Slot kNoSlot = 0xffffffffu;
-
-  /// Aliases the batch engine templates over (cycloid uses the same names).
-  using LookupKeyType = Key;
-  using LookupResultType = LookupResult;
 
   explicit ChordRing(Config cfg);
 
@@ -201,66 +196,9 @@ class ChordRing {
 
   /// Same walk, but reuses `out` (notably its path buffer) instead of
   /// returning a fresh result: after warm-up the steady-state query path
-  /// performs no heap allocation. Implemented as LookupBegin + LookupStep
-  /// to exhaustion + LookupFinish — the resumable API below is the walk.
+  /// performs no heap allocation. A missing origin fails at once (ok stays
+  /// false, no hops, empty path).
   void LookupInto(Key key, NodeAddr origin, LookupResult& out) const;
-
-  // ---- Resumable lookup (single-hop state machine) ----------------------
-  //
-  // The monolithic walk factored into Begin / Step* / Finish so a batch
-  // engine can interleave B independent walks and hide the slab's DRAM
-  // latency behind useful work (see harness/batch_lookup.hpp). The
-  // decomposition is exact: LookupInto is a thin loop over LookupStep, and
-  // every observable — LookupResult bytes, route-cache probe/teach order,
-  // maintenance counters, obs traces/metrics — is identical to the old
-  // single-function walk.
-
-  /// One in-flight walk. Plain value state; reusable across lookups. The
-  /// bound LookupResult must outlive the walk (Begin .. Finish).
-  struct LookupState {
-    LookupResult* out = nullptr;  ///< bound result, valid Begin..Finish
-    Slot cur = kNoSlot;           ///< slab position of the walk head
-    std::size_t max_hops = 0;     ///< routing-failure cap for this walk
-    bool done = true;             ///< no more steps (out->ok says how)
-    /// Dead links this walk detected (exact even when walks interleave:
-    /// accumulated per step, not diffed across the whole walk).
-    std::uint64_t dead_skips = 0;
-    std::uint64_t start_ns = 0;   ///< trace timestamp (0 when tracing off)
-  };
-
-  /// Binds `out` to `st` and positions the walk at `origin`. A missing
-  /// origin completes the walk immediately (ok stays false).
-  void LookupBegin(Key key, NodeAddr origin, LookupResult& out,
-                   LookupState& st) const;
-
-  /// Advances the walk by at most one hop. Returns true while the walk has
-  /// more steps; false once it completed (owner found, routing dead end, or
-  /// hop cap exceeded). Calling it on a completed walk is a no-op.
-  bool LookupStep(LookupState& st) const;
-
-  /// Completes the walk: teaches the route cache (on success, cache on) and
-  /// reports to the metrics/trace layer — everything the monolithic walk did
-  /// after its loop. Must be called exactly once per Begin.
-  void LookupFinish(LookupState& st) const;
-
-  /// Issues __builtin_prefetch for the slab lines the walk's next LookupStep
-  /// will read. Stages pipeline the pointer chase (each stage only
-  /// dereferences memory a previous stage prefetched):
-  ///   0 — the node header line + its routing extent (both addresses are
-  ///       computed from the slot index, so no dependent load is needed;
-  ///       call right after Begin or a hop);
-  ///   1 — predecessor/successor/top-finger target headers (needs stage 0
-  ///       resident). On a fresh ring (LinksFresh) the step derefs no
-  ///       targets and this stage is a no-op;
-  ///   2 — unused (kept so engines may pipeline 3 deep on other rings).
-  /// Pure prefetch: no observable effect, safe to skip or repeat.
-  void LookupPrefetch(const LookupState& st, unsigned stage) const;
-
-  /// Warms the membership-table probe line for a LookupBegin(.., origin, ..)
-  /// issued later: a batch engine calls this one refill ahead so the next
-  /// request's origin->slot resolution overlaps the walks in flight. Pure
-  /// prefetch, no observable effect.
-  void PrefetchOrigin(NodeAddr origin) const { by_addr_.PrefetchFind(origin); }
 
   // ---- Maintenance ------------------------------------------------------
 
@@ -370,8 +308,8 @@ class ChordRing {
     return finger_ids_.data() + std::size_t{s} * cfg_.bits;
   }
   /// Best-effort promotion of the node/link slabs to transparent huge
-  /// pages: random-access prefetches are dropped on TLB misses, so large
-  /// rings want the slabs TLB-resident. No observable effect on results.
+  /// pages: a walk's slab reads are random, so large rings want the slabs
+  /// TLB-resident. No observable effect on results.
   void CollapseSlabs();
   /// addr -> slot, or kNoSlot when the address is not a member.
   Slot SlotOf(NodeAddr addr) const;
@@ -399,6 +337,11 @@ class ChordRing {
   /// themselves — no generation derefs. Returns the chosen link, or nullptr
   /// where the general scan returns kNoSlot.
   const Link* ClosestPrecedingLinkFresh(const Node& n, Key key) const;
+  /// Position of one walk between loop iterations.
+  struct LookupState {
+    Slot cur = kNoSlot;        ///< slab position of the walk head
+    std::size_t max_hops = 0;  ///< routing-failure cap for this walk
+  };
   /// One iteration of the lookup loop (hop, cache shortcut, or
   /// termination); returns false when the walk completed.
   bool StepOnce(LookupState& st, LookupResult& r) const;
@@ -418,10 +361,9 @@ class ChordRing {
   Config cfg_;
   std::uint64_t space_;
   /// Slabs live on hugepage-backed mappings (see common/hugepage.hpp):
-  /// large rings span thousands of 4 KiB pages, beyond TLB coverage, and
-  /// x86 drops software prefetches whose page walk misses the TLB — which
-  /// would defeat the batch engine's prefetch pipeline exactly where it
-  /// matters most. 2 MiB pages keep both slabs TLB-resident.
+  /// large rings span thousands of 4 KiB pages, beyond TLB coverage, so
+  /// every hop's random slab read would also pay a page walk. 2 MiB pages
+  /// keep both slabs TLB-resident.
   std::vector<Node, HugePageAllocator<Node>> slots_;  // entries stay put
   /// Routing-array slab: link_stride_ entries per slot (bits fingers, then
   /// successor_list successors). Grows with slots_, entries stay put.

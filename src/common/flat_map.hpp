@@ -1,14 +1,11 @@
 // Flat open-addressing NodeAddr -> index map for the DHT membership tables.
 //
 // The rings resolve a lookup's origin address to its slab slot on every
-// LookupBegin. With std::unordered_map that probe is two dependent cache
-// misses (bucket array -> heap node) that serialize ahead of the walk's
-// first hop; at batch-engine rates the probe is a measurable slice of the
-// whole lookup. This table stores 8-byte {addr, index} entries inline in
-// one power-of-two array — a single probe line, L2-resident for rings of
-// tens of thousands of members — and exposes PrefetchFind so the batch
-// engine can issue the next request's probe line a full pipeline round
-// before LookupBegin dereferences it.
+// lookup. With std::unordered_map that probe is two dependent cache misses
+// (bucket array -> heap node) that serialize ahead of the walk's first hop.
+// This table stores 8-byte {addr, index} entries inline in one
+// power-of-two array — a single probe line, L2-resident for rings of tens
+// of thousands of members.
 //
 // Deletion uses backward-shift (no tombstones), so heavy churn cannot
 // degrade probe lengths. The map does not support iteration — the rings
@@ -40,25 +37,19 @@ class AddrIndexMap {
     if (want > buckets_.size()) Rehash(want);
   }
 
-  /// Returns the mapped index, or kAbsent.
+  /// Returns the mapped index, or kAbsent. The empty test comes first so
+  /// kNoNode (the empty-bucket key) is never found.
   std::uint32_t Find(NodeAddr addr) const {
     std::size_t i = Home(addr);
     while (true) {
       const Entry& e = buckets_[i];
-      if (e.key == addr) return e.val;
       if (e.key == kNoNode) return kAbsent;
+      if (e.key == addr) return e.val;
       i = (i + 1) & mask_;
     }
   }
 
   bool Contains(NodeAddr addr) const { return Find(addr) != kAbsent; }
-
-  /// Warms the probe line for a Find(addr) issued later. Linear probing
-  /// keeps almost every probe on the home line (8 entries), so one
-  /// prefetch covers the common case.
-  void PrefetchFind(NodeAddr addr) const {
-    __builtin_prefetch(&buckets_[Home(addr)], 0, 3);
-  }
 
   /// Inserts or overwrites.
   void Put(NodeAddr addr, std::uint32_t val) {

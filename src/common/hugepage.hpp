@@ -1,13 +1,12 @@
 // Hugepage-backed allocation for the large flat slabs (node headers, link
 // extents) the DHT hot paths walk.
 //
-// Why it matters: the batched lookup engine hides cache-miss latency with
-// software prefetches, but x86 silently drops a prefetch whose page walk
-// misses the TLB. A million-node ring's link slab spans hundreds of MB —
-// thousands of 4 KiB pages, far beyond second-level TLB coverage — so on
-// small pages a large fraction of the pipeline's prefetches die and the
-// walk pays full memory latency anyway. Backing the slab with 2 MiB pages
-// cuts the page count by 512x and keeps the whole slab TLB-resident.
+// Why it matters: a lookup walk reads the slab at random, one node per
+// hop. A million-node ring's link slab spans hundreds of MB — thousands of
+// 4 KiB pages, far beyond second-level TLB coverage — so on small pages
+// most hops pay a page walk on top of the cache miss. Backing the slab
+// with 2 MiB pages cuts the page count by 512x and keeps the whole slab
+// TLB-resident.
 //
 // Strategy: try an explicit hugetlb mapping first (MAP_HUGETLB, available
 // even on kernels with transparent hugepages disabled, if the admin

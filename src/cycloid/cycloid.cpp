@@ -531,32 +531,6 @@ LookupResult CycloidNetwork::Lookup(CycloidId key, NodeAddr origin) const {
   return r;
 }
 
-void CycloidNetwork::LookupBegin(CycloidId key, NodeAddr origin,
-                                 LookupResult& r, LookupState& st) const {
-  st.out = &r;
-  st.dead_skips = 0;
-  // Timestamp taken only while a trace is active on this thread, so the
-  // off-state cost stays the TLS null check.
-  st.start_ns = obs::TracingActive() ? obs::MonotonicNowNs() : 0;
-  r.ok = false;
-  r.key = CycloidId{key.k % cfg_.dimension, key.a % cluster_space_};
-  r.owner = kNoNode;
-  r.hops = 0;
-  r.cache_hits = 0;
-  r.path.clear();
-  st.cur = SlotOf(origin);
-  st.prev = kNoSlot;
-  st.structured_cap = 4 * cfg_.dimension + 8;
-  st.total_cap =
-      st.structured_cap + 2 * clusters_.size() + 2 * cfg_.dimension + 16;
-  // Sticky fallback mode: engaged when the structured budget is spent or an
-  // immediate backtrack is detected (stateless greedy steps returning to the
-  // previous node would cycle forever in a churn-degraded neighborhood).
-  st.walk_mode = false;
-  st.done = st.cur == kNoSlot;
-  if (!st.done) r.path.push_back(origin);
-}
-
 bool CycloidNetwork::StepOnce(LookupState& st, LookupResult& r) const {
   if (OwnsNode(slots_[st.cur], r.key)) {
     r.owner = slots_[st.cur].addr;
@@ -602,19 +576,33 @@ bool CycloidNetwork::StepOnce(LookupState& st, LookupResult& r) const {
   return r.hops <= st.total_cap;  // past the cap, ok stays false
 }
 
-bool CycloidNetwork::LookupStep(LookupState& st) const {
-  if (st.done) return false;
-  // Attribute dead-link detections to this walk step by step: exact even
-  // when a batch engine interleaves walks over the shared counter.
+void CycloidNetwork::LookupInto(CycloidId key, NodeAddr origin,
+                                LookupResult& r) const {
+  // Timestamp taken only while a trace is active on this thread, so the
+  // off-state cost stays the TLS null check.
+  const std::uint64_t start_ns =
+      obs::TracingActive() ? obs::MonotonicNowNs() : 0;
   const std::uint64_t dead_before = maintenance_.dead_links_skipped;
-  const bool more = StepOnce(st, *st.out);
-  st.dead_skips += maintenance_.dead_links_skipped - dead_before;
-  if (!more) st.done = true;
-  return more;
-}
-
-void CycloidNetwork::LookupFinish(LookupState& st) const {
-  LookupResult& r = *st.out;
+  r.ok = false;
+  r.key = CycloidId{key.k % cfg_.dimension, key.a % cluster_space_};
+  r.owner = kNoNode;
+  r.hops = 0;
+  r.cache_hits = 0;
+  r.path.clear();
+  LookupState st;
+  st.cur = SlotOf(origin);
+  st.structured_cap = 4 * cfg_.dimension + 8;
+  st.total_cap =
+      st.structured_cap + 2 * clusters_.size() + 2 * cfg_.dimension + 16;
+  if (st.cur != kNoSlot) {
+    r.path.push_back(origin);
+    while (StepOnce(st, r)) {
+    }
+  }
+  // Dead links this walk detected. Walks run one at a time, so the
+  // counter's growth across the walk is exactly this walk's share.
+  const std::uint64_t dead_skips =
+      maintenance_.dead_links_skipped - dead_before;
   if (r.ok && route_cache_.enabled() && r.hops > 0) {
     // Teach every node on the path a direct link to the owner.
     const std::uint64_t cache_key = r.key.a * cfg_.dimension + r.key.k;
@@ -636,60 +624,16 @@ void CycloidNetwork::LookupFinish(LookupState& st) const {
         obs::Registry::Global().GetCounter("cycloid.lookups");
     static obs::Counter& failures =
         obs::Registry::Global().GetCounter("cycloid.lookup.failures");
-    static obs::Counter& dead_skips = obs::Registry::Global().GetCounter(
+    static obs::Counter& dead_skip_count = obs::Registry::Global().GetCounter(
         "cycloid.lookup.dead_links_skipped");
     lookups.AddUnchecked(1);
     hops.RecordUnchecked(static_cast<double>(r.hops));
     if (!r.ok) failures.AddUnchecked(1);
-    if (st.dead_skips != 0) dead_skips.AddUnchecked(st.dead_skips);
+    if (dead_skips != 0) dead_skip_count.AddUnchecked(dead_skips);
   }
   const std::uint64_t dur_ns =
-      st.start_ns != 0 ? obs::MonotonicNowNs() - st.start_ns : 0;
-  obs::OnLookup(r.path, r.hops, r.ok, st.dead_skips, dur_ns, r.cache_hits);
-}
-
-void CycloidNetwork::LookupPrefetch(const LookupState& st,
-                                    unsigned stage) const {
-  if (st.done) return;
-  const Node& n = slots_[st.cur];
-  auto fetch_target = [&](const Link& l) {
-    if (l.slot != kNoSlot) __builtin_prefetch(&slots_[l.slot], 0, 3);
-  };
-  switch (stage) {
-    case 0: {
-      // The whole node is inline (id + 7 links, ~4 lines) — no arrays to
-      // chase, so stage 0 covers everything the step reads locally.
-      const char* base = reinterpret_cast<const char*>(&n);
-      __builtin_prefetch(base, 0, 3);
-      __builtin_prefetch(base + 64, 0, 3);
-      __builtin_prefetch(base + 128, 0, 3);
-      __builtin_prefetch(base + 192, 0, 3);
-      break;
-    }
-    case 1:
-      // Header resident: the targets OwnsNode and the structured routing
-      // step generation-check (leaf sets + cubical neighbor).
-      fetch_target(n.outside_pred);
-      fetch_target(n.inside_pred);
-      fetch_target(n.inside_succ);
-      fetch_target(n.cubical);
-      break;
-    default:
-      // The cluster-walk fallback's reads.
-      fetch_target(n.cyclic_succ);
-      fetch_target(n.cyclic_pred);
-      fetch_target(n.outside_succ);
-      break;
-  }
-}
-
-void CycloidNetwork::LookupInto(CycloidId key, NodeAddr origin,
-                                LookupResult& r) const {
-  LookupState st;
-  LookupBegin(key, origin, r, st);
-  while (LookupStep(st)) {
-  }
-  LookupFinish(st);
+      start_ns != 0 ? obs::MonotonicNowNs() - start_ns : 0;
+  obs::OnLookup(r.path, r.hops, r.ok, dead_skips, dur_ns, r.cache_hits);
 }
 
 void CycloidNetwork::FixNode(NodeAddr addr) {

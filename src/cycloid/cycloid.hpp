@@ -114,14 +114,9 @@ class MembershipObserver {
 
 class CycloidNetwork {
  public:
-  /// Index into the node slot slab. Public so resumable lookup state (and
-  /// the batch engine built on it) can carry slab positions across steps.
+  /// Index into the node slot slab.
   using Slot = std::uint32_t;
   static constexpr Slot kNoSlot = 0xffffffffu;
-
-  /// Aliases the batch engine templates over (chord uses the same names).
-  using LookupKeyType = CycloidId;
-  using LookupResultType = LookupResult;
 
   explicit CycloidNetwork(Config cfg);
 
@@ -193,56 +188,9 @@ class CycloidNetwork {
 
   /// Same walk, but reuses `out` (notably its path buffer) instead of
   /// returning a fresh result: after warm-up the steady-state query path
-  /// performs no heap allocation. Implemented as LookupBegin + LookupStep
-  /// to exhaustion + LookupFinish — the resumable API below is the walk.
+  /// performs no heap allocation. A missing origin fails at once (ok stays
+  /// false, no hops, empty path).
   void LookupInto(CycloidId key, NodeAddr origin, LookupResult& out) const;
-
-  // ---- Resumable lookup (single-hop state machine) ------------------------
-  //
-  // Exact decomposition of the monolithic walk (see chord.hpp for the
-  // contract); the extra fields carry Cycloid's sticky walk-mode fallback
-  // and backtrack detection across steps.
-
-  /// One in-flight walk. Plain value state; reusable across lookups. The
-  /// bound LookupResult must outlive the walk (Begin .. Finish).
-  struct LookupState {
-    LookupResult* out = nullptr;   ///< bound result, valid Begin..Finish
-    Slot cur = kNoSlot;            ///< slab position of the walk head
-    Slot prev = kNoSlot;           ///< previous hop (backtrack detection)
-    std::size_t structured_cap = 0;  ///< budget before forcing walk mode
-    std::size_t total_cap = 0;       ///< routing-failure cap for this walk
-    bool walk_mode = false;        ///< sticky cluster-walk fallback engaged
-    bool done = true;              ///< no more steps (out->ok says how)
-    /// Dead links this walk detected (accumulated per step — exact even
-    /// when walks interleave over the shared counter).
-    std::uint64_t dead_skips = 0;
-    std::uint64_t start_ns = 0;    ///< trace timestamp (0 when tracing off)
-  };
-
-  /// Binds `out` to `st` and positions the walk at `origin`. A missing
-  /// origin completes the walk immediately (ok stays false).
-  void LookupBegin(CycloidId key, NodeAddr origin, LookupResult& out,
-                   LookupState& st) const;
-
-  /// Advances the walk by at most one hop; false once it completed.
-  bool LookupStep(LookupState& st) const;
-
-  /// Completes the walk: route-cache teaching + metrics/trace reporting.
-  /// Must be called exactly once per Begin.
-  void LookupFinish(LookupState& st) const;
-
-  /// Prefetches the slab lines the next LookupStep will read. Stages:
-  ///   0 — the current node's slab header (all 7 links are inline);
-  ///   1 — leaf-set / cubical targets (OwnsNode + structured routing);
-  ///   2 — cyclic/outside targets (the cluster-walk fallback reads).
-  /// Pure prefetch: no observable effect, safe to skip or repeat.
-  void LookupPrefetch(const LookupState& st, unsigned stage) const;
-
-  /// Warms the membership-table probe line for a LookupBegin(.., origin, ..)
-  /// issued later: a batch engine calls this one refill ahead so the next
-  /// request's origin->slot resolution overlaps the walks in flight. Pure
-  /// prefetch, no observable effect.
-  void PrefetchOrigin(NodeAddr origin) const { by_addr_.PrefetchFind(origin); }
 
   // ---- Maintenance --------------------------------------------------------
 
@@ -321,6 +269,18 @@ class CycloidNetwork {
   /// the owner. `force_walk` switches to the guaranteed cluster walk.
   Slot NextHopSlot(const Node& n, CycloidId key, bool force_walk) const;
 
+  /// Position of one walk between loop iterations. `walk_mode` is the
+  /// sticky cluster-walk fallback: engaged when the structured budget is
+  /// spent or an immediate backtrack is detected (stateless greedy steps
+  /// returning to the previous node would cycle forever in a churn-degraded
+  /// neighborhood).
+  struct LookupState {
+    Slot cur = kNoSlot;              ///< slab position of the walk head
+    Slot prev = kNoSlot;             ///< previous hop (backtrack detection)
+    std::size_t structured_cap = 0;  ///< budget before forcing walk mode
+    std::size_t total_cap = 0;       ///< routing-failure cap for this walk
+    bool walk_mode = false;
+  };
   /// One iteration of the lookup loop (hop, cache shortcut, or
   /// termination); returns false when the walk completed.
   bool StepOnce(LookupState& st, LookupResult& r) const;

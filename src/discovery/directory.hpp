@@ -103,18 +103,6 @@ class Directory {
     for (; it != v.end() && it->ordinal <= hi; ++it) fn(*it);
   }
 
-  /// Warms the attribute's sorted run for an upcoming ForEachMatch: merges
-  /// any pending inserts (observationally what the scan's own MergePending
-  /// would do) and prefetches the bucket's data. Used by the batched walk
-  /// engine to overlap the next visit's directory miss with this one's scan.
-  void PrefetchMatch(AttrId attr) const {
-    MergePending();
-    const auto bit = buckets_.find(attr);
-    if (bit == buckets_.end()) return;
-    const std::vector<Entry>& v = bit->second.sorted;
-    if (!v.empty()) __builtin_prefetch(v.data());
-  }
-
   /// Removes and returns every entry satisfying `pred(entry)`.
   template <typename Pred>
   std::vector<Entry> TakeIf(Pred&& pred) {

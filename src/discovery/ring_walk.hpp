@@ -16,12 +16,10 @@
 // the middle of the segment is still uncovered.
 //
 // The walk is factored into a resumable Begin/Advance/Finish state machine
-// (mirroring the rings' LookupBegin/Step/Finish) so the batched walk engine
-// (src/harness/batch_walk.hpp) can keep B walks in flight and prefetch the
-// next node's directory bucket one visit ahead. WalkSuccessors is the
-// sequential wrapper: Begin; do { visit } while (Advance); Finish — the
-// one-walk path *is* the batched path with B = 1, byte-identical stats and
-// metrics by construction.
+// so a caller can run its own per-visit work between steps (LORM's cluster
+// walk and the perfbench shadow executor drive it directly).
+// WalkSuccessors is the plain wrapper: Begin; do { visit } while (Advance);
+// Finish.
 #pragma once
 
 #include "chord/chord.hpp"

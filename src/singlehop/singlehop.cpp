@@ -294,53 +294,31 @@ LookupResult SingleHopRing::Lookup(Key key, NodeAddr origin) const {
 }
 
 void SingleHopRing::LookupInto(Key key, NodeAddr origin,
-                               LookupResult& out) const {
-  LookupState st;
-  LookupBegin(key, origin, out, st);
-  while (LookupStep(st)) {
-  }
-  LookupFinish(st);
-}
-
-void SingleHopRing::LookupBegin(Key key, NodeAddr origin, LookupResult& r,
-                                LookupState& st) const {
-  st.out = &r;
-  st.dead_skips = 0;
-  st.start_ns = obs::TracingActive() ? obs::MonotonicNowNs() : 0;
+                               LookupResult& r) const {
+  const std::uint64_t start_ns =
+      obs::TracingActive() ? obs::MonotonicNowNs() : 0;
   r.ok = false;
   r.key = key & (space_ - 1);
   r.owner = kNoNode;
   r.hops = 0;
   r.cache_hits = 0;
   r.path.clear();
-  st.cur = SlotOf(origin);
-  st.max_hops = 1;
-  st.done = st.cur == kNoSlot;
-  if (!st.done) r.path.push_back(origin);
-}
-
-bool SingleHopRing::LookupStep(LookupState& st) const {
-  if (st.done) return false;
-  LookupResult& r = *st.out;
-  const Slot owner_slot = OwnerSlotOf(r.key);
-  // The full table names the owner directly: zero hops when the origin
-  // owns the key itself, one hop otherwise.
-  if (owner_slot != kNoSlot) {
-    const Node& owner = slots_[owner_slot];
-    r.owner = owner.addr;
-    r.ok = true;
-    if (owner_slot != st.cur) {
-      r.hops = 1;
-      r.path.push_back(owner.addr);
-      st.cur = owner_slot;
+  const Slot origin_slot = SlotOf(origin);
+  if (origin_slot != kNoSlot) {
+    r.path.push_back(origin);
+    // The full table names the owner directly: zero hops when the origin
+    // owns the key itself, one hop otherwise.
+    const Slot owner_slot = OwnerSlotOf(r.key);
+    if (owner_slot != kNoSlot) {
+      const Node& owner = slots_[owner_slot];
+      r.owner = owner.addr;
+      r.ok = true;
+      if (owner_slot != origin_slot) {
+        r.hops = 1;
+        r.path.push_back(owner.addr);
+      }
     }
   }
-  st.done = true;
-  return false;
-}
-
-void SingleHopRing::LookupFinish(LookupState& st) const {
-  LookupResult& r = *st.out;
   if (obs::MetricsEnabled()) {
     static obs::Histogram& hops = obs::Registry::Global().GetHistogram(
         "singlehop.lookup.hops", obs::Histogram::LinearBounds(0.0, 1.0, 32));
@@ -353,14 +331,10 @@ void SingleHopRing::LookupFinish(LookupState& st) const {
     if (!r.ok) failures.AddUnchecked(1);
   }
   const std::uint64_t dur_ns =
-      st.start_ns != 0 ? obs::MonotonicNowNs() - st.start_ns : 0;
-  obs::OnLookup(r.path, r.hops, r.ok, st.dead_skips, dur_ns, r.cache_hits);
-}
-
-void SingleHopRing::LookupPrefetch(const LookupState& st,
-                                   unsigned stage) const {
-  if (stage != 0 || st.done || st.cur == kNoSlot) return;
-  __builtin_prefetch(&slots_[st.cur]);
+      start_ns != 0 ? obs::MonotonicNowNs() - start_ns : 0;
+  // The lookup follows no stored link, so it can detect no dead ones.
+  obs::OnLookup(r.path, r.hops, r.ok, /*dead_links_skipped=*/0, dur_ns,
+                r.cache_hits);
 }
 
 // ---- Maintenance ----------------------------------------------------------

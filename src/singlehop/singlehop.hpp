@@ -36,12 +36,10 @@
 // fall back to the oracle, reproducing address semantics exactly as the
 // other rings do.
 //
-// The resumable LookupBegin/Step/Finish state machine conforms to the batch
-// engine contract (harness/batch_lookup.hpp): a lookup completes in one
-// Step — origin consults its full table and hops straight to the owner —
-// and Finish reports the same metrics/trace surface as the other rings
-// ("singlehop.lookup.*"). The route cache flag is accepted for config parity
-// but changes nothing: a complete table cannot be shortcut.
+// A lookup is one step — the origin consults its full table and hops
+// straight to the owner — and reports the same metrics/trace surface as the
+// other rings ("singlehop.lookup.*"). The route cache flag is accepted for
+// config parity but changes nothing: a complete table cannot be shortcut.
 #pragma once
 
 #include <cstdint>
@@ -79,10 +77,6 @@ class SingleHopRing {
  public:
   using Slot = std::uint32_t;
   static constexpr Slot kNoSlot = 0xffffffffu;
-
-  /// Aliases the batch engine templates over (chord/cycloid use the same).
-  using LookupKeyType = Key;
-  using LookupResultType = LookupResult;
 
   explicit SingleHopRing(Config cfg);
 
@@ -145,32 +139,6 @@ class SingleHopRing {
 
   /// Allocation-free variant reusing `out` (see chord::ChordRing).
   void LookupInto(Key key, NodeAddr origin, LookupResult& out) const;
-
-  /// One in-flight walk; same shape as the other rings' LookupState so the
-  /// batch engine can template over it.
-  struct LookupState {
-    LookupResult* out = nullptr;
-    Slot cur = kNoSlot;
-    std::size_t max_hops = 0;
-    bool done = true;
-    std::uint64_t dead_skips = 0;
-    std::uint64_t start_ns = 0;
-  };
-
-  void LookupBegin(Key key, NodeAddr origin, LookupResult& out,
-                   LookupState& st) const;
-  /// The single hop: origin's full table resolves the owner directly.
-  /// Returns false once the walk completed (always after one call).
-  bool LookupStep(LookupState& st) const;
-  void LookupFinish(LookupState& st) const;
-
-  /// Prefetch stages for the batch engine. Stage 0 warms the walk head's
-  /// header line; the owner resolution is an oracle binary search with no
-  /// further dependent loads, so stages 1/2 are no-ops.
-  void LookupPrefetch(const LookupState& st, unsigned stage) const;
-
-  /// Warms the membership-probe line for a later LookupBegin (see chord).
-  void PrefetchOrigin(NodeAddr origin) const { by_addr_.PrefetchFind(origin); }
 
   // ---- Maintenance ------------------------------------------------------
 

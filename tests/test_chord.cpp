@@ -292,8 +292,13 @@ TEST(ChordRing, OwnsUsesPredecessorSector) {
 
 TEST(ChordRing, LookupFromUnknownOriginFails) {
   auto ring = MakeRing(8, SmallCfg(), true);
-  const auto res = ring.Lookup(1, /*origin=*/999);
-  EXPECT_FALSE(res.ok);
+  for (const NodeAddr origin : {NodeAddr{999}, kNoNode}) {
+    const auto res = ring.Lookup(1, origin);
+    EXPECT_FALSE(res.ok) << origin;
+    EXPECT_EQ(res.hops, 0u);
+    EXPECT_TRUE(res.path.empty());
+    EXPECT_EQ(res.owner, kNoNode);
+  }
 }
 
 TEST(ChordRing, MakeRingRejectsOverfull) {

@@ -6,6 +6,7 @@
 #include <set>
 
 #include "common/error.hpp"
+#include "common/flat_map.hpp"
 #include "common/hashing.hpp"
 #include "common/random.hpp"
 #include "common/sha1.hpp"
@@ -402,6 +403,21 @@ TEST(Stats, LorenzCurve) {
   // Interpolation halfway into the last quartile.
   EXPECT_NEAR(LorenzShareAt(spike, 0.875), 0.5, 1e-12);
   EXPECT_NEAR(LorenzShareAt(uniform, 0.5), 0.5, 1e-12);
+}
+
+TEST(AddrIndexMap, EmptyBucketKeyIsNeverFound) {
+  // kNoNode marks empty buckets; looking it up must not return an empty
+  // bucket's index (the rings would route a lookup from slot 0).
+  AddrIndexMap map;
+  EXPECT_FALSE(map.Contains(kNoNode));
+  map.Put(7, 3);
+  map.Put(11, 0);
+  EXPECT_EQ(map.Find(7), 3u);
+  EXPECT_EQ(map.Find(11), 0u);
+  EXPECT_EQ(map.Find(kNoNode), AddrIndexMap::kAbsent);
+  map.Erase(11);
+  EXPECT_FALSE(map.Contains(11));
+  EXPECT_FALSE(map.Contains(kNoNode));
 }
 
 TEST(Types, FormatNodeAddr) {

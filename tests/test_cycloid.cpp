@@ -294,7 +294,13 @@ TEST(CycloidNetwork, MembersAreInLexicographicOrder) {
 
 TEST(CycloidNetwork, LookupFromUnknownOriginFails) {
   auto net = MakeCycloid(10, Cfg(5));
-  EXPECT_FALSE(net.Lookup({0, 0}, 999).ok);
+  for (const NodeAddr origin : {NodeAddr{999}, kNoNode}) {
+    const auto res = net.Lookup({0, 0}, origin);
+    EXPECT_FALSE(res.ok) << origin;
+    EXPECT_EQ(res.hops, 0u);
+    EXPECT_TRUE(res.path.empty());
+    EXPECT_EQ(res.owner, kNoNode);
+  }
 }
 
 }  // namespace

@@ -18,7 +18,7 @@
 #include "chord/chord.hpp"
 #include "common/random.hpp"
 #include "cycloid/cycloid.hpp"
-#include "harness/batch_lookup.hpp"
+#include "singlehop/singlehop.hpp"
 
 namespace {
 
@@ -106,6 +106,33 @@ TEST(LookupAllocFree, CycloidWarmLookupLoopDoesNotAllocate) {
   EXPECT_EQ(allocs, 0u);
 }
 
+TEST(LookupAllocFree, SingleHopWarmLookupLoopDoesNotAllocate) {
+  singlehop::Config cfg;
+  cfg.bits = 20;
+  auto ring = singlehop::MakeSingleHopRing(2048, cfg,
+                                           /*deterministic_ids=*/false);
+  const auto members = ring.Members();
+
+  Rng rng(43);
+  singlehop::LookupResult res;
+  for (int i = 0; i < 2000; ++i) {
+    ring.LookupInto(rng.NextBelow(ring.space()),
+                    members[rng.NextBelow(members.size())], res);
+  }
+
+  Rng replay(43);
+  std::uint64_t hops = 0;
+  const std::uint64_t allocs = CountAllocations([&] {
+    for (int i = 0; i < 2000; ++i) {
+      ring.LookupInto(replay.NextBelow(ring.space()),
+                      members[replay.NextBelow(members.size())], res);
+      hops += res.hops;
+    }
+  });
+  EXPECT_EQ(allocs, 0u);
+  EXPECT_GT(hops, 0u);  // the loop routed real one-hop lookups
+}
+
 TEST(LookupAllocFree, ChordCachedWarmLookupLoopDoesNotAllocate) {
   // Same contract with the route cache on: probes, shortcut jumps and
   // teaching inserts all work in the table pre-sized at AllocateSlot time,
@@ -167,61 +194,6 @@ TEST(LookupAllocFree, CycloidCachedWarmLookupLoopDoesNotAllocate) {
   });
   EXPECT_EQ(allocs, 0u);
   EXPECT_GT(shortcut_hops, 0u);
-}
-
-TEST(LookupAllocFree, ChordBatchEngineWarmRoundsDoNotAllocate) {
-  // The batch engine's contract: lanes are sized once in the constructor
-  // and lane results keep their path capacity across refills, so a warm
-  // engine routes whole batches without touching the allocator.
-  chord::Config cfg;
-  cfg.bits = 20;
-  auto ring = chord::MakeRing(2048, cfg, /*deterministic_ids=*/false);
-  const auto members = ring.Members();
-
-  using Engine = harness::BatchLookupEngine<chord::ChordRing>;
-  Engine engine(16, 1);
-  Rng rng(37);
-  std::vector<Engine::Request> reqs(2000);
-  for (auto& r : reqs) {
-    r.key = rng.NextBelow(ring.space());
-    r.origin = members[rng.NextBelow(members.size())];
-  }
-
-  std::uint64_t routed = 0;
-  auto sink = [&](std::size_t, const chord::LookupResult&) { ++routed; };
-  engine.Run(ring, reqs.data(), reqs.size(), sink);  // warm-up: grows paths
-
-  const std::uint64_t allocs = CountAllocations(
-      [&] { engine.Run(ring, reqs.data(), reqs.size(), sink); });
-  EXPECT_EQ(allocs, 0u);
-  EXPECT_EQ(routed, 2 * reqs.size());
-}
-
-TEST(LookupAllocFree, CycloidBatchEngineWarmRoundsDoNotAllocate) {
-  cycloid::Config cfg;
-  cfg.dimension = 8;
-  auto net = cycloid::MakeCycloid(2048, cfg);
-  const auto members = net.Members();
-  const auto d = net.dimension();
-
-  using Engine = harness::BatchLookupEngine<cycloid::CycloidNetwork>;
-  Engine engine(16, 3);
-  Rng rng(41);
-  std::vector<Engine::Request> reqs(2000);
-  for (auto& r : reqs) {
-    r.key = cycloid::CycloidId{static_cast<unsigned>(rng.NextBelow(d)),
-                               rng.NextBelow(std::uint64_t{1} << d)};
-    r.origin = members[rng.NextBelow(members.size())];
-  }
-
-  std::uint64_t routed = 0;
-  auto sink = [&](std::size_t, const cycloid::LookupResult&) { ++routed; };
-  engine.Run(net, reqs.data(), reqs.size(), sink);
-
-  const std::uint64_t allocs = CountAllocations(
-      [&] { engine.Run(net, reqs.data(), reqs.size(), sink); });
-  EXPECT_EQ(allocs, 0u);
-  EXPECT_EQ(routed, 2 * reqs.size());
 }
 
 TEST(LookupAllocFree, FreshResultStillAllocatesOnlyForThePath) {

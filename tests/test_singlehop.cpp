@@ -11,22 +11,15 @@
 //   * cost model — every lookup resolves in at most one hop (mean <= 1.05
 //     at the paper's n = 2048), joins/leaves/crash-repair charge Θ(n)
 //     maintenance messages where Chord charges Θ(log n);
-//   * engine contract — the resumable lookup and walk state machines are
-//     byte-identical through the batch engines at widths 1/8/32;
 //   * registry — a sixth system can be registered without touching the
 //     harness, and the canonical five are unperturbed.
 #include "singlehop/singlehop.hpp"
 
 #include <gtest/gtest.h>
 
-#include <sstream>
-#include <string>
 #include <vector>
 
 #include "discovery/d1ht_service.hpp"
-#include "discovery/ring_walk.hpp"
-#include "harness/batch_lookup.hpp"
-#include "harness/batch_walk.hpp"
 #include "service_test_util.hpp"
 
 namespace lorm {
@@ -62,6 +55,20 @@ TEST(SingleHopRing, EveryLookupResolvesInAtMostOneHop) {
   const double mean = static_cast<double>(total_hops) / lookups;
   EXPECT_LE(mean, 1.05);
   EXPECT_GT(mean, 0.9);  // owning the key yourself is a 1/n event
+}
+
+TEST(SingleHopRing, LookupFromUnknownOriginFails) {
+  singlehop::Config cfg;
+  cfg.bits = 10;
+  const auto ring = singlehop::MakeSingleHopRing(64, cfg,
+                                                 /*deterministic_ids=*/true);
+  for (const NodeAddr origin : {NodeAddr{999}, kNoNode}) {
+    const auto res = ring.Lookup(ring.space() / 5, origin);
+    EXPECT_FALSE(res.ok) << origin;
+    EXPECT_EQ(res.hops, 0u);
+    EXPECT_TRUE(res.path.empty());
+    EXPECT_EQ(res.owner, kNoNode);
+  }
 }
 
 TEST(SingleHopRing, MembershipEventsChargeLinearMessages) {
@@ -220,109 +227,6 @@ TEST(D1htReplication, ReplicasRestoreRecallUnderCrashes) {
         2, nodes[rng.NextBelow(nodes.size())], RangeStyle::kBounded, rng);
     ASSERT_EQ(bed.service->Query(q).providers,
               BruteForceProviders(bed.infos, q, *bed.service));
-  }
-}
-
-// ---- Batch-engine byte-identity --------------------------------------------
-
-std::string LookupResultsSerialized(
-    const singlehop::SingleHopRing& ring,
-    const std::vector<harness::BatchLookupEngine<
-        singlehop::SingleHopRing>::Request>& reqs,
-    std::size_t batch) {
-  std::ostringstream out;
-  auto emit = [&out](std::size_t i, const singlehop::LookupResult& r) {
-    out << i << ":ok=" << r.ok << ",key=" << r.key << ",owner=" << r.owner
-        << ",hops=" << r.hops << ",cache=" << r.cache_hits << ",path=";
-    for (const NodeAddr a : r.path) out << a << ";";
-    out << "\n";
-  };
-  if (batch == 0) {  // sequential reference replay
-    singlehop::LookupResult res;
-    for (std::size_t i = 0; i < reqs.size(); ++i) {
-      ring.LookupInto(reqs[i].key, reqs[i].origin, res);
-      emit(i, res);
-    }
-  } else {
-    harness::BatchLookupEngine<singlehop::SingleHopRing> engine(batch);
-    engine.Run(ring, reqs.data(), reqs.size(), emit);
-  }
-  return out.str();
-}
-
-TEST(SingleHopBatch, LookupEngineIsByteIdenticalAtAnyWidth) {
-  singlehop::Config cfg;
-  cfg.bits = 10;
-  const auto ring = singlehop::MakeSingleHopRing(384, cfg,
-                                                 /*deterministic_ids=*/true);
-  Rng rng(0xBA7C41ull);
-  std::vector<harness::BatchLookupEngine<singlehop::SingleHopRing>::Request>
-      reqs(257);
-  for (auto& r : reqs) {
-    r.key = rng.NextBelow(ring.space());
-    r.origin = static_cast<NodeAddr>(rng.NextBelow(384));
-  }
-  const std::string sequential = LookupResultsSerialized(ring, reqs, 0);
-  for (const std::size_t batch : {std::size_t{1}, std::size_t{8},
-                                  std::size_t{32}}) {
-    EXPECT_EQ(LookupResultsSerialized(ring, reqs, batch), sequential)
-        << "batch width " << batch;
-  }
-}
-
-std::string WalkVisitsSerialized(
-    const singlehop::SingleHopRing& ring,
-    const std::vector<harness::BatchWalkEngine::Request>& reqs,
-    std::size_t batch) {
-  std::ostringstream out;
-  if (batch == 0) {
-    for (std::size_t i = 0; i < reqs.size(); ++i) {
-      discovery::QueryStats stats;
-      out << i << ":";
-      discovery::WalkSuccessors(ring, reqs[i].root, reqs[i].key_lo,
-                                reqs[i].key_hi, stats,
-                                [&](NodeAddr a) { out << a << ";"; });
-      out << "|v=" << stats.visited_nodes << ",s=" << stats.walk_steps << "\n";
-    }
-  } else {
-    std::vector<std::string> visits(reqs.size());
-    std::vector<std::string> tails(reqs.size());
-    harness::BatchWalkEngine engine(batch);
-    engine.Run(
-        ring, reqs.data(), reqs.size(),
-        [&](std::size_t i, NodeAddr a) {
-          visits[i] += std::to_string(a) + ";";
-        },
-        [](std::size_t, NodeAddr) {},
-        [&](std::size_t i, const discovery::QueryStats& stats) {
-          tails[i] = "|v=" + std::to_string(stats.visited_nodes) +
-                     ",s=" + std::to_string(stats.walk_steps);
-        });
-    for (std::size_t i = 0; i < reqs.size(); ++i) {
-      out << i << ":" << visits[i] << tails[i] << "\n";
-    }
-  }
-  return out.str();
-}
-
-TEST(SingleHopBatch, WalkEngineIsByteIdenticalAtAnyWidth) {
-  singlehop::Config cfg;
-  cfg.bits = 10;
-  const auto ring = singlehop::MakeSingleHopRing(384, cfg,
-                                                 /*deterministic_ids=*/true);
-  Rng rng(0xBA7C42ull);
-  std::vector<harness::BatchWalkEngine::Request> reqs(129);
-  for (auto& r : reqs) {
-    const singlehop::Key lo = rng.NextBelow(ring.space());
-    r.key_lo = lo;
-    r.key_hi = lo + rng.NextBelow(ring.space() / 16);
-    r.root = ring.OwnerOf(lo);
-  }
-  const std::string sequential = WalkVisitsSerialized(ring, reqs, 0);
-  for (const std::size_t batch : {std::size_t{1}, std::size_t{8},
-                                  std::size_t{32}}) {
-    EXPECT_EQ(WalkVisitsSerialized(ring, reqs, batch), sequential)
-        << "batch width " << batch;
   }
 }
 
