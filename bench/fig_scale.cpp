@@ -9,7 +9,7 @@
 // longer fits in cache and every hop is a DRAM round-trip. Each point times
 // the sequential walk and reports its per-lookup tail.
 //
-// Networks are built with MakeRing/MakeCycloidBulk — identical converged
+// Networks are built with MakeRing/MakeCycloid — identical converged
 // state to n sequential joins + StabilizeAll, without the O(n^2) per-join
 // oracle splices — and report ApproxMemoryBytes per point plus the
 // process peak RSS at exit.
@@ -165,7 +165,7 @@ int main(int argc, char** argv) {
       cfg.dimension = cycloid::DimensionFor(n);
       model.d = cfg.dimension;
       const std::size_t n_cyc = std::size_t{cfg.dimension} << cfg.dimension;
-      const auto net = cycloid::MakeCycloidBulk(n_cyc, cfg);
+      const auto net = cycloid::MakeCycloid(n_cyc, cfg);
       const auto members = net.Members();
       const unsigned d = net.dimension();
       Rng rng(0xF165C7C101Dull + n);

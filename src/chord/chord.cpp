@@ -1,18 +1,5 @@
 #include "chord/chord.hpp"
 
-#if defined(__linux__)
-#include <sys/mman.h>
-// Kernel 6.1+ supports synchronous THP collapse; older glibc headers
-// (< 2.38) just don't expose the constant. The value is kernel ABI.
-#ifndef MADV_COLLAPSE
-#define MADV_COLLAPSE 25
-#endif
-#endif
-
-#if defined(__x86_64__)
-#include <immintrin.h>
-#endif
-
 #include <algorithm>
 #include <array>
 #include <unordered_set>
@@ -36,55 +23,6 @@ bool InIntervalOO(Key x, Key lo, Key hi) {
   if (lo < hi) return x > lo && x < hi;
   return x > lo || x < hi;  // wrapped
 }
-
-namespace {
-
-int ScanFingerIdsScalar(const Key* ids, std::size_t count, Key lo, Key hi) {
-  for (std::size_t i = count; i-- > 0;) {
-    if (InIntervalOO(ids[i], lo, hi)) return static_cast<int>(i);
-  }
-  return -1;
-}
-
-#if defined(__x86_64__)
-/// Four-wide version of the scalar scan. Identifier-space keys fit in 63
-/// bits (the ring caps bits at 63), so signed 64-bit compares order the
-/// same as unsigned ones. `wrapped` folds the lo==hi case correctly:
-/// (x > lo || x < lo) == (x != lo), matching InIntervalOO.
-__attribute__((target("avx2"))) int ScanFingerIdsAvx2(const Key* ids,
-                                                      std::size_t count,
-                                                      Key lo, Key hi) {
-  const bool wrapped = lo >= hi;
-  const __m256i vlo = _mm256_set1_epi64x(static_cast<long long>(lo));
-  const __m256i vhi = _mm256_set1_epi64x(static_cast<long long>(hi));
-  std::size_t i = count;
-  while (i >= 4) {
-    i -= 4;
-    const __m256i v =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(ids + i));
-    const __m256i gt = _mm256_cmpgt_epi64(v, vlo);
-    const __m256i lt = _mm256_cmpgt_epi64(vhi, v);
-    const __m256i m =
-        wrapped ? _mm256_or_si256(gt, lt) : _mm256_and_si256(gt, lt);
-    const unsigned mask =
-        static_cast<unsigned>(_mm256_movemask_pd(_mm256_castsi256_pd(m)));
-    if (mask != 0) return static_cast<int>(i) + 31 - __builtin_clz(mask);
-  }
-  return ScanFingerIdsScalar(ids, i, lo, hi);
-}
-#endif
-
-/// Highest index i < count with ids[i] inside the open ring interval
-/// (lo, hi) — the closest-preceding-finger scan — or -1 if none.
-inline int ScanFingerIds(const Key* ids, std::size_t count, Key lo, Key hi) {
-#if defined(__x86_64__)
-  static const bool kHaveAvx2 = __builtin_cpu_supports("avx2") != 0;
-  if (kHaveAvx2) return ScanFingerIdsAvx2(ids, count, lo, hi);
-#endif
-  return ScanFingerIdsScalar(ids, count, lo, hi);
-}
-
-}  // namespace
 
 ChordRing::ChordRing(Config cfg) : cfg_(cfg) {
   if (cfg_.bits == 0 || cfg_.bits > 63) {
@@ -140,7 +78,6 @@ ChordRing::Slot ChordRing::AllocateSlot(NodeAddr addr, Key id) {
     s = static_cast<Slot>(slots_.size());
     slots_.emplace_back();
     links_.resize(slots_.size() * link_stride_);
-    finger_ids_.resize(slots_.size() * cfg_.bits);
   }
   Node& n = slots_[s];
   n.id = id;
@@ -149,9 +86,6 @@ ChordRing::Slot ChordRing::AllocateSlot(NodeAddr addr, Key id) {
   n.predecessor = Link{};
   n.finger_count = 0;
   n.succ_count = 0;
-  n.s0_id = 0;
-  n.s0_slot = kNoSlot;
-  n.s0_addr = kNoNode;
   route_cache_.EnsureSlots(slots_.size());
   return s;
 }
@@ -164,9 +98,6 @@ void ChordRing::ReleaseSlot(Slot s) {
   n.predecessor = Link{};
   n.finger_count = 0;  // the slab extent stays in place for the next occupant
   n.succ_count = 0;
-  n.s0_id = 0;
-  n.s0_slot = kNoSlot;
-  n.s0_addr = kNoNode;
   free_slots_.push_back(s);
   // The generation bump above already invalidates shortcuts *to* this slot;
   // drop what the departed occupant had learned as well.
@@ -195,8 +126,6 @@ void ChordRing::AddNodeWithId(NodeAddr addr, Key id) {
   if (Contains(addr)) throw ConfigError("node address already in ring");
   if (OracleContains(id)) throw ConfigError("chord id collision");
 
-  // Joining splices neighbors but leaves remote finger tables stale.
-  links_fresh_ = false;
   const bool first = by_addr_.empty();
   const Slot self_slot = AllocateSlot(addr, id);
   OracleInsert(id, self_slot);
@@ -208,13 +137,8 @@ void ChordRing::AddNodeWithId(NodeAddr addr, Key id) {
     const Link self_link = MakeLink(self_slot);
     SlotSuccessors(self_slot)[0] = self_link;
     n.succ_count = 1;
-    SyncSucc0(n);
     Link* fingers = SlotFingers(self_slot);
-    Key* fids = SlotFingerIds(self_slot);
-    for (unsigned i = 0; i < cfg_.bits; ++i) {
-      fingers[i] = self_link;
-      fids[i] = self_link.id;
-    }
+    for (unsigned i = 0; i < cfg_.bits; ++i) fingers[i] = self_link;
     n.finger_count = static_cast<std::uint16_t>(cfg_.bits);
     maintenance_.join_messages += 1;  // bootstrap announcement
     for (auto* obs : observers_) obs->OnJoin(addr, addr);
@@ -243,7 +167,6 @@ void ChordRing::AddNodeWithId(NodeAddr addr, Key id) {
     Node& p = slots_[pred_slot];
     SlotSuccessors(pred_slot)[0] = MakeLink(self_slot);
     if (p.succ_count == 0) p.succ_count = 1;
-    SyncSucc0(p);
   }
   for (auto* obs : observers_) obs->OnJoin(addr, succ);
 }
@@ -255,7 +178,6 @@ void ChordRing::BulkAssign(
                  "BulkAssign does not notify membership observers");
   slots_.reserve(members.size());
   links_.reserve(members.size() * link_stride_);
-  finger_ids_.reserve(members.size() * cfg_.bits);
   oracle_.reserve(members.size());
   by_addr_.reserve(members.size());
   for (const auto& [addr, id] : members) {
@@ -272,13 +194,11 @@ void ChordRing::BulkAssign(
     }
   }
   StabilizeAll();
-  CollapseSlabs();
 }
 
 void ChordRing::RemoveNode(NodeAddr addr) {
   const Slot self_slot = SlotOf(addr);
   LORM_CHECK_MSG(self_slot != kNoSlot, "unknown chord node");
-  links_fresh_ = false;  // links to the vacated slot go stale
   Node& n = slots_[self_slot];
   const bool last = by_addr_.size() == 1;
   const Slot succ_slot =
@@ -313,7 +233,6 @@ void ChordRing::RemoveNode(NodeAddr addr) {
 void ChordRing::FailNode(NodeAddr addr) {
   const Slot self_slot = SlotOf(addr);
   LORM_CHECK_MSG(self_slot != kNoSlot, "unknown chord node");
-  links_fresh_ = false;  // links to the vacated slot go stale
   for (auto* obs : observers_) obs->OnFail(addr);
   // No splice, no handoff: neighbors discover the failure lazily.
   OracleErase(slots_[self_slot].id);
@@ -437,11 +356,6 @@ bool ChordRing::OwnsNode(const Node& n, Key key) const {
   if (n.predecessor.addr == kNoNode || n.predecessor.addr == n.addr) {
     return true;
   }
-  if (links_fresh_) {
-    // The predecessor link is current by invariant: ResolveLink would return
-    // its slot and slots_[slot].id equals the cached id — skip both derefs.
-    return InIntervalOC(key, n.predecessor.id, n.id);
-  }
   const Slot pred_slot = ResolveLink(n.predecessor);
   Key pred_id;
   if (pred_slot == kNoSlot) {
@@ -539,12 +453,6 @@ std::vector<NodeAddr> ChordRing::FingersOf(NodeAddr addr) const {
   return out;
 }
 
-std::vector<Key> ChordRing::FingerIdsOf(NodeAddr addr) const {
-  const Node& n = MustGet(addr);
-  const Key* fids = SlotFingerIds(SlotIndexOf(n));
-  return std::vector<Key>(fids, fids + n.finger_count);
-}
-
 std::vector<NodeAddr> ChordRing::SuccessorListOf(NodeAddr addr) const {
   const Node& n = MustGet(addr);
   std::vector<NodeAddr> out;
@@ -637,36 +545,6 @@ ChordRing::Slot ChordRing::ClosestPrecedingSlot(const Node& n, Key key) const {
   return best;
 }
 
-const ChordRing::Link* ChordRing::ClosestPrecedingLinkFresh(const Node& n,
-                                                            Key key) const {
-  // Mirror of ClosestPrecedingSlot under the freshness invariant: every
-  // generation compare in the general scan would pass, so the candidate ID
-  // and slot come straight from the link. Same iteration order, same skip
-  // conditions, same interval tests — returns the link the general scan's
-  // returned slot belongs to (proved byte-identical in test_chord).
-  const Slot self = SlotIndexOf(n);
-  // Pure-id scan over the dense mirror: on a fresh ring every finger entry
-  // is a live link (finger_count == bits), a self-pointing finger carries
-  // id == n.id (which the open interval rejects), and kNoNode entries
-  // cannot exist — so the general loop's skip conditions reduce to the
-  // interval test and the scan vectorizes.
-  const int idx = ScanFingerIds(SlotFingerIds(self), n.finger_count, n.id, key);
-  if (idx >= 0) return &SlotFingers(self)[idx];
-  const Link* best = nullptr;
-  Key best_id = n.id;
-  const Link* succs = SlotSuccessors(self);
-  for (std::size_t i = 0; i < n.succ_count; ++i) {
-    const Link& s = succs[i];
-    if (s.addr == kNoNode || s.addr == n.addr) continue;
-    if (!InIntervalOO(s.id, n.id, key)) continue;
-    if (best == nullptr || InIntervalOO(best_id, n.id, s.id)) {
-      best = &s;
-      best_id = s.id;
-    }
-  }
-  return best;
-}
-
 LookupResult ChordRing::Lookup(Key key, NodeAddr origin) const {
   LookupResult r;
   LookupInto(key, origin, r);
@@ -700,36 +578,6 @@ bool ChordRing::StepOnce(LookupState& st, LookupResult& r) const {
     cache::TickRouteMiss();
   }
   const Node& n = slots_[st.cur];
-  if (links_fresh_ && n.succ_count != 0) {
-    // Fresh ring: successors.front() is live and its cached id/addr are
-    // current, so the hop needs no generation derefs at all — not even the
-    // next node's header (its address comes from the link). The walk's only
-    // serialized load is this node's own state.
-    if (n.s0_slot == st.cur) {
-      r.owner = n.addr;
-      r.ok = true;
-      return false;
-    }
-    Slot next;
-    NodeAddr next_addr;
-    if (InIntervalOC(r.key, n.id, n.s0_id)) {
-      next = n.s0_slot;
-      next_addr = n.s0_addr;
-    } else {
-      const Link* cp = ClosestPrecedingLinkFresh(n, r.key);
-      if (cp == nullptr || cp->slot == st.cur) {
-        next = n.s0_slot;
-        next_addr = n.s0_addr;
-      } else {
-        next = cp->slot;
-        next_addr = cp->addr;
-      }
-    }
-    st.cur = next;
-    ++r.hops;
-    r.path.push_back(next_addr);
-    return r.hops <= st.max_hops;
-  }
   const Slot succ = FirstLiveSuccessorSlot(n);
   if (succ == st.cur) {
     // Sole member believes it owns everything; Owns() should have caught
@@ -808,20 +656,11 @@ void ChordRing::LookupInto(Key key, NodeAddr origin, LookupResult& r) const {
   obs::OnLookup(r.path, r.hops, r.ok, dead_skips, dur_ns, r.cache_hits);
 }
 
-void ChordRing::SyncSucc0(Node& n) {
-  const Link& s0 = SlotSuccessors(SlotIndexOf(n))[0];
-  n.s0_id = s0.id;
-  n.s0_slot = s0.slot;
-  n.s0_addr = s0.addr;
-}
-
 void ChordRing::BuildState(Node& n) {
   const Slot self = SlotIndexOf(n);
   Link* fingers = SlotFingers(self);
-  Key* fids = SlotFingerIds(self);
   for (unsigned i = 0; i < cfg_.bits; ++i) {
     fingers[i] = MakeLink(OwnerSlotOf(FingerStart(n.id, i)));
-    fids[i] = fingers[i].id;
   }
   n.finger_count = static_cast<std::uint16_t>(cfg_.bits);
   Link* succs = SlotSuccessors(self);
@@ -837,7 +676,6 @@ void ChordRing::BuildState(Node& n) {
     succs[0] = MakeLink(SlotOf(n.addr));
     n.succ_count = 1;
   }
-  SyncSucc0(n);
 }
 
 void ChordRing::FixNode(NodeAddr addr) {
@@ -870,14 +708,12 @@ void ChordRing::StabilizeAll() {
     const Slot self = oracle_[j].second;
     Node& node = slots_[self];
     Link* fingers = SlotFingers(self);
-    Key* fids = SlotFingerIds(self);
     for (unsigned i = 0; i < cfg_.bits; ++i) {
       // id + 2^i < id + space = doubled_id(j + n): the cursor stops by then.
       const Key target = node.id + (Key{1} << i);
       std::size_t& p = cursor[i];
       while (doubled_id(p) < target) ++p;
       fingers[i] = by_id[p < n ? p : p - n];
-      fids[i] = fingers[i].id;
     }
     node.finger_count = static_cast<std::uint16_t>(cfg_.bits);
     // Successors oracle_[j+1 .. j+succ_len] with wrap; a lone node is its
@@ -887,14 +723,10 @@ void ChordRing::StabilizeAll() {
       succs[k] = by_id[(j + 1 + k) % n];
     }
     node.succ_count = static_cast<std::uint16_t>(succ_len);
-    SyncSucc0(node);
     // The predecessor is what repeated stabilize() rounds converge to.
     node.predecessor = by_id[j == 0 ? n - 1 : j - 1];
     maintenance_.stabilize_messages += node.finger_count + node.succ_count + 1;
   }
-  // Every link in every live node was just rebuilt from the oracle: all
-  // generations current until the next membership change.
-  links_fresh_ = true;
 }
 
 void ChordRing::AddObserver(MembershipObserver* obs) {
@@ -909,31 +741,10 @@ void ChordRing::RemoveObserver(MembershipObserver* obs) {
 std::size_t ChordRing::ApproxMemoryBytes() const {
   std::size_t bytes = slots_.capacity() * sizeof(Node);
   bytes += links_.capacity() * sizeof(Link);
-  bytes += finger_ids_.capacity() * sizeof(Key);
   bytes += free_slots_.capacity() * sizeof(Slot);
   bytes += oracle_.capacity() * sizeof(std::pair<Key, Slot>);
   bytes += by_addr_.MemoryBytes();
   return bytes;
-}
-
-void ChordRing::CollapseSlabs() {
-#if defined(__linux__) && defined(MADV_COLLAPSE)
-  // Synchronously back the slabs with transparent huge pages where the
-  // kernel allows it. A multi-hundred-MB slab on 4K pages misses the TLB
-  // on most hops; 2M pages keep it TLB-resident. Best effort: alignment or
-  // kernel support may make this a no-op, which only costs speed.
-  auto collapse = [](void* p, std::size_t len) {
-    constexpr std::uintptr_t kHuge = std::uintptr_t{1} << 21;
-    const auto base = reinterpret_cast<std::uintptr_t>(p);
-    const std::uintptr_t lo = (base + kHuge - 1) & ~(kHuge - 1);
-    const std::uintptr_t hi = (base + len) & ~(kHuge - 1);
-    if (hi > lo) {
-      (void)madvise(reinterpret_cast<void*>(lo), hi - lo, MADV_COLLAPSE);
-    }
-  };
-  collapse(slots_.data(), slots_.size() * sizeof(Node));
-  collapse(links_.data(), links_.size() * sizeof(Link));
-#endif
 }
 
 ChordRing MakeRing(std::size_t n, Config cfg, bool deterministic_ids,

@@ -23,9 +23,10 @@
 // slot owns a fixed extent of `bits + successor_list` entries — fingers
 // first, successor list after — so a node's routing arrays sit at an
 // address computable from its slot index alone, with no per-node heap
-// allocations to chase (and one flat range to promote to huge pages). On
-// the steady-state routing path liveness is a single generation compare and
-// IDs come from the link itself — no hash probes. Address-based resolution
+// allocations to chase. Every lookup takes the same walk, whether or not
+// maintenance has run since the last membership change: liveness is a
+// single generation compare and IDs come from the link itself — no hash
+// probes while the generation matches. Address-based resolution
 // (`by_addr_`) runs once per membership change and as the fallback for
 // stale links, which exactly reproduces address semantics when a node
 // departs (or departs and rejoins) between maintenance rounds.
@@ -44,7 +45,6 @@
 #include "cache/route_cache.hpp"
 #include "common/maintenance.hpp"
 #include "common/flat_map.hpp"
-#include "common/hugepage.hpp"
 #include "common/types.hpp"
 
 namespace lorm::chord {
@@ -217,14 +217,6 @@ class ChordRing {
   const MaintenanceStats& maintenance() const { return maintenance_; }
   void ResetMaintenanceStats() { maintenance_ = {}; }
 
-  /// True while every stored link is known current (see links_fresh_).
-  /// Exposed so tests can assert the invariant toggles where expected.
-  bool LinksFresh() const { return links_fresh_; }
-
-  /// The node's finger-id mirror in table order (see finger_ids_). Exposed
-  /// so tests can check it against the finger links it shadows.
-  std::vector<Key> FingerIdsOf(NodeAddr addr) const;
-
   /// Address of the node-header slab. Exposed so tests can assert its
   /// cache-line alignment (Node is alignas(64)).
   std::uintptr_t SlotSlabAddress() const {
@@ -265,25 +257,12 @@ class ChordRing {
     std::uint16_t finger_count = 0;  ///< live prefix of the finger extent
     std::uint16_t succ_count = 0;    ///< live prefix of the successor extent
     bool live = false;
-    /// In-header copy of the first successor link (kept in sync by
-    /// SyncSucc0 at every write of the successor extent). Every routing
-    /// step tests the key against successor(0) — caching its id/slot/addr
-    /// here keeps the whole test on the header line instead of touching
-    /// the successor extent, one fewer line per hop for the fresh path.
-    /// No generation field: the fresh path performs no staleness checks,
-    /// and the stale path reads the real extent entry instead.
-    Key s0_id = 0;
-    Slot s0_slot = kNoSlot;
-    NodeAddr s0_addr = kNoNode;
     Link predecessor;
   };
   static_assert(sizeof(Node) == 64, "Node header must stay one cache line");
 
   Node& MustGet(NodeAddr addr);
   const Node& MustGet(NodeAddr addr) const;
-  /// Re-caches successor(0) into the node header after a successor-extent
-  /// write (see Node::s0_id).
-  void SyncSucc0(Node& n);
   /// The node's slot index, recovered from its slab position.
   Slot SlotIndexOf(const Node& n) const {
     return static_cast<Slot>(&n - slots_.data());
@@ -300,17 +279,6 @@ class ChordRing {
   const Link* SlotSuccessors(Slot s) const {
     return SlotFingers(s) + cfg_.bits;
   }
-  /// The slot's finger-id mirror (see finger_ids_).
-  Key* SlotFingerIds(Slot s) {
-    return finger_ids_.data() + std::size_t{s} * cfg_.bits;
-  }
-  const Key* SlotFingerIds(Slot s) const {
-    return finger_ids_.data() + std::size_t{s} * cfg_.bits;
-  }
-  /// Best-effort promotion of the node/link slabs to transparent huge
-  /// pages: a walk's slab reads are random, so large rings want the slabs
-  /// TLB-resident. No observable effect on results.
-  void CollapseSlabs();
   /// addr -> slot, or kNoSlot when the address is not a member.
   Slot SlotOf(NodeAddr addr) const;
   /// Snapshot link to the slot's current occupant.
@@ -332,11 +300,6 @@ class ChordRing {
   /// the excluded node is departing).
   Slot FirstLiveSuccessorSlotExcept(const Node& n, NodeAddr excluded) const;
   Slot ClosestPrecedingSlot(const Node& n, Key key) const;
-  /// ClosestPrecedingSlot restricted to a fresh ring (links_fresh_): same
-  /// scan order and interval tests, but candidate IDs come from the links
-  /// themselves — no generation derefs. Returns the chosen link, or nullptr
-  /// where the general scan returns kNoSlot.
-  const Link* ClosestPrecedingLinkFresh(const Node& n, Key key) const;
   /// Position of one walk between loop iterations.
   struct LookupState {
     Slot cur = kNoSlot;        ///< slab position of the walk head
@@ -360,20 +323,10 @@ class ChordRing {
 
   Config cfg_;
   std::uint64_t space_;
-  /// Slabs live on hugepage-backed mappings (see common/hugepage.hpp):
-  /// large rings span thousands of 4 KiB pages, beyond TLB coverage, so
-  /// every hop's random slab read would also pay a page walk. 2 MiB pages
-  /// keep both slabs TLB-resident.
-  std::vector<Node, HugePageAllocator<Node>> slots_;  // entries stay put
+  std::vector<Node> slots_;  // entries stay put
   /// Routing-array slab: link_stride_ entries per slot (bits fingers, then
   /// successor_list successors). Grows with slots_, entries stay put.
-  std::vector<Link, HugePageAllocator<Link>> links_;
-  /// 8-byte mirror of the finger extents' ids (stride cfg_.bits per slot),
-  /// written wherever the finger links are. The fresh-path
-  /// closest-preceding scan runs over this dense array — 8 ids per cache
-  /// line instead of 2.6 links, and contiguous 64-bit lanes the vectorized
-  /// scan can compare four at a time.
-  std::vector<Key, HugePageAllocator<Key>> finger_ids_;
+  std::vector<Link> links_;
   std::size_t link_stride_ = 0;
   std::vector<Slot> free_slots_;
   /// The oracle index: all (id, slot) pairs sorted by id. Kept flat — every
@@ -386,16 +339,6 @@ class ChordRing {
   mutable MaintenanceStats maintenance_;  // mutable: routing is const
   /// Learned shortcuts (cfg_.route_cache); mutable: lookups teach it.
   mutable cache::RouteCacheTable<Link> route_cache_;
-  /// Freshness invariant: true ⇒ every Link held by a live node (fingers,
-  /// successor list, predecessor) still points at its original occupant,
-  /// i.e. slots_[l.slot].gen == l.gen for every stored link. StabilizeAll
-  /// establishes it (every link rebuilt from the oracle); any membership
-  /// mutation clears it before touching state. While it holds, the lookup
-  /// path skips every generation-validation deref — the checks would all
-  /// pass — turning ~scan-depth random slab reads per hop into zero and
-  /// leaving results, counters and traces bit-identical. Stale rings take
-  /// the unmodified general path.
-  bool links_fresh_ = false;
 };
 
 /// Populates a ring with `n` nodes and addresses base..base+n-1.

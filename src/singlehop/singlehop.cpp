@@ -169,7 +169,6 @@ void SingleHopRing::RemoveNode(NodeAddr addr) {
 void SingleHopRing::FailNode(NodeAddr addr) {
   const Slot self_slot = SlotOf(addr);
   LORM_CHECK_MSG(self_slot != kNoSlot, "unknown single-hop node");
-  links_fresh_ = false;  // neighbor links to the vacated slot go stale
   for (auto* obs : observers_) obs->OnFail(addr);
   // Nothing is charged now — nobody has been told. The detection +
   // dissemination bill lands on the next maintenance window.
@@ -371,7 +370,6 @@ void SingleHopRing::StabilizeAll() {
     n.successor = MakeLink(oracle_[next].second);
     slots_[oracle_[next].second].predecessor = MakeLink(oracle_[i].second);
   }
-  links_fresh_ = true;
 }
 
 void SingleHopRing::AddObserver(MembershipObserver* obs) {

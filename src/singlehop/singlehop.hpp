@@ -155,10 +155,6 @@ class SingleHopRing {
   const MaintenanceStats& maintenance() const { return maintenance_; }
   void ResetMaintenanceStats() { maintenance_ = {}; }
 
-  /// True while every stored link is known current (chord's invariant;
-  /// here only crashes break it, since joins/leaves splice eagerly).
-  bool LinksFresh() const { return links_fresh_; }
-
   unsigned bits() const { return cfg_.bits; }
   std::uint64_t space() const { return space_; }
   const Config& config() const { return cfg_; }
@@ -216,7 +212,6 @@ class SingleHopRing {
   /// Crashes since the last StabilizeAll whose dissemination bill is still
   /// unpaid (EDRA batches event reports per maintenance window).
   std::uint64_t pending_fail_events_ = 0;
-  bool links_fresh_ = false;
 };
 
 /// Populates a ring with `n` nodes and addresses base..base+n-1; in

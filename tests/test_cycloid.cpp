@@ -303,5 +303,58 @@ TEST(CycloidNetwork, LookupFromUnknownOriginFails) {
   }
 }
 
+/// MakeCycloid against the sequential build it replaces: n joins in address
+/// order at the same proportional positions, then one StabilizeAll.
+void ExpectMakeCycloidMatchesSequential(std::size_t n, Config cfg) {
+  const NodeAddr base = 100;
+  const CycloidNetwork made = MakeCycloid(n, cfg, base);
+  CycloidNetwork seq(cfg);
+  const std::uint64_t cap = seq.capacity();
+  for (std::size_t i = 0; i < n; ++i) {
+    const auto pos = static_cast<std::uint64_t>(
+        static_cast<unsigned __int128>(i) * cap / n);
+    seq.AddNodeWithId(static_cast<NodeAddr>(base + i),
+                      {static_cast<unsigned>(pos % cfg.dimension),
+                       pos / cfg.dimension});
+  }
+  seq.StabilizeAll();
+  // Construction bills one stabilization round and no joins.
+  EXPECT_EQ(made.maintenance().join_messages, 0u);
+  EXPECT_EQ(made.maintenance().stabilize_messages, 7u * n);
+  ASSERT_EQ(made.Members(), seq.Members());
+  EXPECT_EQ(made.ClusterCount(), seq.ClusterCount());
+  for (const NodeAddr a : seq.Members()) {
+    EXPECT_EQ(made.IdOf(a), seq.IdOf(a)) << "node " << a;
+    EXPECT_EQ(made.NeighborsOf(a), seq.NeighborsOf(a)) << "node " << a;
+    EXPECT_EQ(made.InsideSuccessor(a), seq.InsideSuccessor(a)) << "node " << a;
+    EXPECT_EQ(made.InsidePredecessor(a), seq.InsidePredecessor(a))
+        << "node " << a;
+    EXPECT_EQ(made.Outlinks(a), seq.Outlinks(a)) << "node " << a;
+  }
+  const auto members = seq.Members();
+  Rng rng(n);
+  for (int i = 0; i < 200; ++i) {
+    const CycloidId key{static_cast<unsigned>(rng.NextBelow(cfg.dimension)),
+                        rng.NextBelow(seq.cluster_space())};
+    const NodeAddr origin = members[rng.NextBelow(members.size())];
+    const auto a = made.Lookup(key, origin);
+    const auto b = seq.Lookup(key, origin);
+    EXPECT_EQ(a.ok, b.ok);
+    EXPECT_EQ(a.owner, b.owner);
+    EXPECT_EQ(a.hops, b.hops);
+    EXPECT_EQ(a.path, b.path);
+  }
+}
+
+TEST(CycloidNetwork, MakeCycloidMatchesSequentialJoins) {
+  // Fully populated networks, the paper's configuration among them.
+  ExpectMakeCycloidMatchesSequential(5 * 32, Cfg(5));
+  ExpectMakeCycloidMatchesSequential(8 * 256, Cfg(8));
+  // Partly filled: missing clusters and gaps inside clusters.
+  ExpectMakeCycloidMatchesSequential(150, Cfg(6));
+  ExpectMakeCycloidMatchesSequential(17, Cfg(3));
+  ExpectMakeCycloidMatchesSequential(1, Cfg(4));
+}
+
 }  // namespace
 }  // namespace lorm::cycloid

@@ -1,8 +1,9 @@
 // The data-layout overhaul's contract: after warm-up, the steady-state
 // lookup path performs zero heap allocations. LookupInto reuses the
-// caller's path buffer, ClosestPreceding reads cached finger IDs off the
-// slot slab, and OwnsNode's oracle fallback never fires on a stable
-// network — so a warm lookup loop must not touch the allocator at all.
+// caller's path buffer, ClosestPreceding reads each candidate's ID from its
+// generation-checked link in the link slab, and OwnsNode's oracle fallback
+// never fires on a stable network — so a warm lookup loop must not touch
+// the allocator at all.
 //
 // Verified with counting global operator new/delete: the counter is
 // process-wide, so each probe region runs single-threaded with no other
@@ -37,8 +38,12 @@ void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
   return std::malloc(size);
 }
 
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+// Kept out of line: once GCC inlines these std::free bodies into callers
+// that used `new`, it reports -Wmismatched-new-delete on every such pair.
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
 void operator delete(void* p, const std::nothrow_t&) noexcept {
   std::free(p);
 }
