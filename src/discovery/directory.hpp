@@ -7,16 +7,27 @@
 // ownership changes under churn can re-home exactly the affected entries,
 // and the value's ordinal so range scans need no schema access.
 //
-// Storage is a per-attribute flat vector sorted by ordinal, with an insert
-// buffer merged in lazily: advertising appends, and the first read after a
-// batch of inserts pays one stable sort + in-place merge per touched
-// attribute. Range matches are then a binary search plus a contiguous scan —
-// no per-entry tree-node hops. Both the stable sort and the merge keep equal
-// ordinals in insertion order, so iteration visits entries in exactly the
-// (attr, ordinal, insertion-order) sequence the previous multimap produced.
-// The lazy merge is guarded by an atomic dirty flag + mutex so the
-// concurrent read-only query replay stays race-free (reads in the merged
-// steady state cost one relaxed atomic load).
+// Storage is two flat levels, so a probe costs one hash probe and two binary
+// searches over contiguous arrays, with no tree-node hops:
+//
+//   * DirectoryStore maps an owner address to a slot through an
+//     AddrIndexMap (common/flat_map.hpp). Slots hold heap-allocated
+//     directories, so a directory never moves while the slab grows; a
+//     dropped owner's slot is recycled for the next new owner.
+//   * Each Directory keeps its attribute buckets in one vector sorted by
+//     attribute. A bucket is a vector sorted by ordinal plus an insert
+//     buffer merged in lazily: advertising appends, and the first read
+//     after a batch of inserts pays one stable sort + in-place merge per
+//     touched attribute (skipped when the buffer is already in order or
+//     lands wholly after the sorted run).
+//
+// Both the stable sort and the merge keep equal ordinals in insertion order,
+// so per-directory iteration visits entries in (attr, ordinal,
+// insertion-order) sequence. Store-wide loops run in slot order; their
+// effects (sums and estimator histogram counts) do not depend on it. The
+// lazy merge is guarded by an atomic dirty flag + mutex so the concurrent
+// read-only query replay stays race-free (reads in the merged steady state
+// cost one relaxed atomic load).
 //
 // The template parameter is the overlay key type (chord::Key or
 // cycloid::CycloidId).
@@ -25,12 +36,15 @@
 #include <algorithm>
 #include <atomic>
 #include <cstddef>
+#include <cstdint>
 #include <iterator>
-#include <map>
+#include <memory>
 #include <mutex>
 #include <utility>
 #include <vector>
 
+#include "common/error.hpp"
+#include "common/flat_map.hpp"
 #include "common/types.hpp"
 #include "discovery/selectivity.hpp"
 #include "resource/resource_info.hpp"
@@ -60,8 +74,8 @@ class Directory {
   };
 
   Directory() = default;
-  // The merge guard makes directories address-stable; the store keeps them
-  // in node-keyed maps, which never needs to copy or move one.
+  // The merge guard makes directories address-stable; the store keeps each
+  // one behind a pointer in its slot slab, which never copies or moves one.
   Directory(const Directory&) = delete;
   Directory& operator=(const Directory&) = delete;
 
@@ -82,7 +96,12 @@ class Directory {
 
   void Insert(Entry e) {
     if (est_ != nullptr) est_->Add(e.info.attr, e.ordinal);
-    buckets_[e.info.attr].pending.push_back(std::move(e));
+    const AttrId attr = e.info.attr;
+    auto it = LowerBound(attr);
+    if (it == buckets_.end() || it->first != attr) {
+      it = buckets_.emplace(it, attr, Bucket{});
+    }
+    it->second.pending.push_back(std::move(e));
     size_.fetch_add(1, std::memory_order_relaxed);
     dirty_.store(true, std::memory_order_release);
   }
@@ -94,7 +113,7 @@ class Directory {
   template <typename Fn>
   void ForEachMatch(AttrId attr, double lo, double hi, Fn&& fn) const {
     MergePending();
-    const auto bit = buckets_.find(attr);
+    const auto bit = FindBucket(attr);
     if (bit == buckets_.end()) return;
     const std::vector<Entry>& v = bit->second.sorted;
     auto it = std::lower_bound(
@@ -120,9 +139,10 @@ class Directory {
     // them: a merge left for later would land on the next query instead.
     MergePending();
     std::vector<Entry> out;
-    const auto it = buckets_.find(attr);
+    const auto it = FindBucket(attr);
     if (it == buckets_.end()) return out;
-    const std::size_t removed = EraseFromBucket(it, pred, &out);
+    const std::size_t removed = EraseFromBucket(it->second, pred, &out);
+    if (it->second.sorted.empty()) buckets_.erase(it);
     size_.fetch_sub(removed, std::memory_order_relaxed);
     return out;
   }
@@ -159,7 +179,21 @@ class Directory {
     std::vector<Entry> pending;  ///< inserts since the last merge
   };
 
-  using BucketMap = std::map<AttrId, Bucket>;
+  /// (attr, bucket) pairs sorted by attr; every bucket holds an entry.
+  using BucketVec = std::vector<std::pair<AttrId, Bucket>>;
+
+  /// First bucket whose attribute is not below `attr`.
+  typename BucketVec::iterator LowerBound(AttrId attr) const {
+    return std::lower_bound(
+        buckets_.begin(), buckets_.end(), attr,
+        [](const auto& slot, AttrId a) { return slot.first < a; });
+  }
+
+  /// `attr`'s bucket, or buckets_.end().
+  typename BucketVec::iterator FindBucket(AttrId attr) const {
+    const auto it = LowerBound(attr);
+    return it != buckets_.end() && it->first == attr ? it : buckets_.end();
+  }
 
   /// Folds every bucket's insert buffer into its sorted run. Safe to call
   /// from concurrent readers; in the merged steady state it costs a single
@@ -175,25 +209,32 @@ class Directory {
       };
       // stable_sort + merging older-before-newer preserves insertion order
       // among equal ordinals (pending entries all post-date sorted ones).
-      std::stable_sort(b.pending.begin(), b.pending.end(), by_ordinal);
+      // Both allocate a scratch buffer, so each is skipped when it would
+      // leave the order as it is.
+      if (!std::is_sorted(b.pending.begin(), b.pending.end(), by_ordinal)) {
+        std::stable_sort(b.pending.begin(), b.pending.end(), by_ordinal);
+      }
+      const bool appends = b.sorted.empty() ||
+                           b.sorted.back().ordinal <= b.pending.front().ordinal;
       const auto mid = static_cast<std::ptrdiff_t>(b.sorted.size());
       b.sorted.insert(b.sorted.end(),
                       std::make_move_iterator(b.pending.begin()),
                       std::make_move_iterator(b.pending.end()));
       b.pending.clear();
-      std::inplace_merge(b.sorted.begin(), b.sorted.begin() + mid,
-                         b.sorted.end(), by_ordinal);
+      if (!appends) {
+        std::inplace_merge(b.sorted.begin(), b.sorted.begin() + mid,
+                           b.sorted.end(), by_ordinal);
+      }
     }
     dirty_.store(false, std::memory_order_release);
   }
 
   /// Removes the entries of one merged bucket that satisfy `pred`, moving
-  /// them into `out` when given, and drops the bucket once it is empty.
-  /// Returns the removal count; size_ is the caller's to adjust.
+  /// them into `out` when given. Returns the removal count; dropping the
+  /// emptied bucket and adjusting size_ are the caller's.
   template <typename Pred>
-  std::size_t EraseFromBucket(typename BucketMap::iterator it, Pred& pred,
-                              std::vector<Entry>* out) {
-    std::vector<Entry>& v = it->second.sorted;
+  std::size_t EraseFromBucket(Bucket& b, Pred& pred, std::vector<Entry>* out) {
+    std::vector<Entry>& v = b.sorted;
     std::size_t removed = 0;
     auto dst = v.begin();
     for (auto src = v.begin(); src != v.end(); ++src) {
@@ -207,7 +248,6 @@ class Directory {
       }
     }
     v.erase(dst, v.end());
-    if (v.empty()) buckets_.erase(it);
     return removed;
   }
 
@@ -215,18 +255,15 @@ class Directory {
   std::size_t EraseIfImpl(Pred& pred, std::vector<Entry>* out) {
     MergePending();
     std::size_t removed = 0;
-    for (auto it = buckets_.begin(); it != buckets_.end();) {
-      const auto next = std::next(it);
-      removed += EraseFromBucket(it, pred, out);
-      it = next;
-    }
+    for (auto& [attr, b] : buckets_) removed += EraseFromBucket(b, pred, out);
+    std::erase_if(buckets_,
+                  [](const auto& slot) { return slot.second.sorted.empty(); });
     size_.fetch_sub(removed, std::memory_order_relaxed);
     return removed;
   }
 
-  // attr -> bucket; mutable plus the guard pair so the lazy merge can run
-  // under const reads.
-  mutable BucketMap buckets_;
+  // Mutable plus the guard pair so the lazy merge can run under const reads.
+  mutable BucketVec buckets_;
   mutable std::atomic<bool> dirty_{false};
   mutable std::mutex merge_mu_;
   /// Relaxed atomic: size()/TotalEntries() are read by parallel replay
@@ -238,19 +275,15 @@ class Directory {
   SelectivityEstimator* est_ = nullptr;
 };
 
-/// Map from directory node address to its directory, plus the bookkeeping
-/// shared by all four systems.
+/// Directory node address -> its directory, plus the bookkeeping shared by
+/// every system.
 template <typename KeyT>
 class DirectoryStore {
  public:
   using Dir = Directory<KeyT>;
   using Entry = typename Dir::Entry;
 
-  Dir& At(NodeAddr owner) { return GetOrCreate(owner); }
-  const Dir* Find(NodeAddr owner) const {
-    const auto it = dirs_.find(owner);
-    return it == dirs_.end() ? nullptr : &it->second;
-  }
+  const Dir* Find(NodeAddr owner) const { return DirOf(owner); }
 
   void Insert(NodeAddr owner, Entry e) {
     GetOrCreate(owner).Insert(std::move(e));
@@ -260,41 +293,49 @@ class DirectoryStore {
   /// created from now on.
   void SetEstimator(SelectivityEstimator* est) {
     est_ = est;
-    for (auto& [addr, d] : dirs_) d.SetEstimator(est);
+    ForEachDir([est](Dir& d) { d.SetEstimator(est); });
   }
 
   std::vector<Entry> TakeAll(NodeAddr owner) {
-    const auto it = dirs_.find(owner);
-    if (it == dirs_.end()) return {};
-    auto out = it->second.TakeAll();
-    dirs_.erase(it);
+    Dir* d = DirOf(owner);
+    if (d == nullptr) return {};
+    auto out = d->TakeAll();
+    Drop(owner);
     return out;
   }
 
   template <typename Pred>
   std::vector<Entry> TakeIf(NodeAddr owner, Pred&& pred) {
-    const auto it = dirs_.find(owner);
-    if (it == dirs_.end()) return {};
-    return it->second.TakeIf(std::forward<Pred>(pred));
+    Dir* d = DirOf(owner);
+    if (d == nullptr) return {};
+    return d->TakeIf(std::forward<Pred>(pred));
   }
 
   /// TakeIf(owner, pred) over `attr`'s bucket only (Directory::TakeIf).
   template <typename Pred>
   std::vector<Entry> TakeIf(NodeAddr owner, AttrId attr, Pred&& pred) {
-    const auto it = dirs_.find(owner);
-    if (it == dirs_.end()) return {};
-    return it->second.TakeIf(attr, std::forward<Pred>(pred));
+    Dir* d = DirOf(owner);
+    if (d == nullptr) return {};
+    return d->TakeIf(attr, std::forward<Pred>(pred));
   }
 
   /// Count-only variant of TakeIf(owner, pred).
   template <typename Pred>
   std::size_t EraseIf(NodeAddr owner, Pred&& pred) {
-    const auto it = dirs_.find(owner);
-    if (it == dirs_.end()) return 0;
-    return it->second.EraseIf(std::forward<Pred>(pred));
+    Dir* d = DirOf(owner);
+    if (d == nullptr) return 0;
+    return d->EraseIf(std::forward<Pred>(pred));
   }
 
-  void Drop(NodeAddr owner) { dirs_.erase(owner); }
+  /// Destroys `owner`'s directory (surrendering its estimator counts) and
+  /// frees its slot for reuse.
+  void Drop(NodeAddr owner) {
+    const std::uint32_t slot = index_.Find(owner);
+    if (slot == AddrIndexMap::kAbsent) return;
+    index_.Erase(owner);
+    slots_[slot].reset();
+    free_.push_back(slot);
+  }
 
   std::size_t SizeAt(NodeAddr owner) const {
     const Dir* d = Find(owner);
@@ -303,33 +344,61 @@ class DirectoryStore {
 
   std::size_t TotalEntries() const {
     std::size_t total = 0;
-    for (const auto& [addr, d] : dirs_) total += d.size();
+    ForEachDir([&total](const Dir& d) { total += d.size(); });
     return total;
   }
 
   std::size_t EraseProviderEverywhere(NodeAddr provider) {
     std::size_t n = 0;
-    for (auto& [addr, d] : dirs_) n += d.EraseProvider(provider);
+    ForEachDir([&](Dir& d) { n += d.EraseProvider(provider); });
     return n;
   }
 
   /// Soft-state expiry: drops entries advertised before `cutoff`.
   std::size_t ExpireBefore(std::uint64_t cutoff) {
     std::size_t n = 0;
-    for (auto& [addr, d] : dirs_) {
+    ForEachDir([&](Dir& d) {
       n += d.EraseIf([cutoff](const Entry& e) { return e.epoch < cutoff; });
-    }
+    });
     return n;
   }
 
  private:
-  Dir& GetOrCreate(NodeAddr owner) {
-    const auto [it, inserted] = dirs_.try_emplace(owner);
-    if (inserted && est_ != nullptr) it->second.SetEstimator(est_);
-    return it->second;
+  /// `owner`'s directory, or nullptr.
+  Dir* DirOf(NodeAddr owner) const {
+    const std::uint32_t slot = index_.Find(owner);
+    return slot == AddrIndexMap::kAbsent ? nullptr : slots_[slot].get();
   }
 
-  std::map<NodeAddr, Dir> dirs_;
+  /// Runs fn on every live directory, in slot order.
+  template <typename Fn>
+  void ForEachDir(Fn&& fn) const {
+    for (const auto& d : slots_) {
+      if (d) fn(*d);
+    }
+  }
+
+  Dir& GetOrCreate(NodeAddr owner) {
+    std::uint32_t slot = index_.Find(owner);
+    if (slot != AddrIndexMap::kAbsent) return *slots_[slot];
+    LORM_CHECK_MSG(owner != kNoNode, "directory owner is kNoNode");
+    if (free_.empty()) {
+      slot = static_cast<std::uint32_t>(slots_.size());
+      slots_.emplace_back();
+    } else {
+      slot = free_.back();
+      free_.pop_back();
+    }
+    slots_[slot] = std::make_unique<Dir>();
+    slots_[slot]->SetEstimator(est_);
+    index_.Put(owner, slot);
+    return *slots_[slot];
+  }
+
+  AddrIndexMap index_;  ///< owner -> slot
+  /// Slot slab; a null slot is free and listed in free_.
+  std::vector<std::unique_ptr<Dir>> slots_;
+  std::vector<std::uint32_t> free_;
   SelectivityEstimator* est_ = nullptr;
 };
 

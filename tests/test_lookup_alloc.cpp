@@ -3,7 +3,8 @@
 // caller's path buffer, ClosestPreceding reads each candidate's ID from its
 // generation-checked link in the link slab, and OwnsNode's oracle fallback
 // never fires on a stable network — so a warm lookup loop must not touch
-// the allocator at all.
+// the allocator at all. The same holds one layer up for a warm directory
+// probe (ProbeDirectory on a merged store).
 //
 // Verified with counting global operator new/delete: the counter is
 // process-wide, so each probe region runs single-threaded with no other
@@ -19,6 +20,7 @@
 #include "chord/chord.hpp"
 #include "common/random.hpp"
 #include "cycloid/cycloid.hpp"
+#include "discovery/query_executor.hpp"
 #include "singlehop/singlehop.hpp"
 
 namespace {
@@ -199,6 +201,52 @@ TEST(LookupAllocFree, CycloidCachedWarmLookupLoopDoesNotAllocate) {
   });
   EXPECT_EQ(allocs, 0u);
   EXPECT_GT(shortcut_hops, 0u);
+}
+
+TEST(LookupAllocFree, WarmDirectoryProbeLoopDoesNotAllocate) {
+  // A probe on a merged store is a slot-index probe plus two binary
+  // searches; with the caller's matches buffer pre-reserved, nothing in it
+  // may allocate. Owners are sparse and some (owner, attr) pairs are absent.
+  constexpr AttrId kAttrs = 16;
+  constexpr std::size_t kOwners = 256;
+  discovery::DirectoryStore<std::uint64_t> store;
+  Rng rng(53);
+  for (int i = 0; i < 20000; ++i) {
+    discovery::DirectoryStore<std::uint64_t>::Entry e;
+    e.info.attr = static_cast<AttrId>(rng.NextBelow(kAttrs));
+    e.ordinal = static_cast<double>(rng.NextBelow(1000));
+    e.info.value = resource::AttrValue::Number(e.ordinal);
+    e.info.provider = static_cast<NodeAddr>(rng.NextBelow(4096));
+    store.Insert(static_cast<NodeAddr>(rng.NextBelow(kOwners) * 7919),
+                 std::move(e));
+  }
+
+  std::vector<resource::ResourceInfo> matches;
+  matches.reserve(store.TotalEntries());
+  discovery::QueryStats stats;
+  auto probe_loop = [&](std::uint64_t seed) {
+    Rng probes(seed);
+    std::uint64_t found = 0;
+    for (int i = 0; i < 4000; ++i) {
+      const auto owner =
+          static_cast<NodeAddr>(probes.NextBelow(kOwners + 8) * 7919);
+      const auto attr = static_cast<AttrId>(probes.NextBelow(kAttrs + 2));
+      const double lo = static_cast<double>(probes.NextBelow(1000));
+      matches.clear();
+      discovery::ProbeDirectory(store, owner, attr, lo, lo + 100.0,
+                                discovery::kAnyEntry, matches, stats);
+      found += matches.size();
+    }
+    return found;
+  };
+  const std::uint64_t warm = probe_loop(59);  // merges every insert buffer
+
+  std::uint64_t found = 0;
+  const std::uint64_t allocs =
+      CountAllocations([&] { found = probe_loop(59); });
+  EXPECT_EQ(allocs, 0u);
+  EXPECT_EQ(found, warm);
+  EXPECT_GT(found, 0u);  // the loop returned real matches
 }
 
 TEST(LookupAllocFree, FreshResultStillAllocatesOnlyForThePath) {
