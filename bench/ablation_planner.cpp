@@ -112,6 +112,6 @@ int main(int argc, char** argv) {
   std::cout << "\nmean visited reduction (k=3): "
             << harness::TablePrinter::Num(mean_reduction, 2) << "\n";
 
-  bench::FinishBench(opt, "ablation_planner", replayed);
+  bench::FinishBench(opt, "ablation_planner");
   return 0;
 }

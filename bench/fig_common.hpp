@@ -16,7 +16,6 @@
 #include <functional>
 #include <iostream>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -198,35 +197,20 @@ inline BenchOptions ParseOptions(
   return opt;
 }
 
-/// Wall-clock + throughput summary every bench prints before exiting. With
-/// --json it additionally emits one machine-readable line (the BENCH_*.json
-/// perf-trajectory format). `queries` = 0 for benches that measure
-/// structure, not query replay; qps is omitted then.
-inline void FinishBench(const BenchOptions& opt, const std::string& name,
-                        std::size_t queries = 0) {
+/// Wall-clock summary every bench prints before exiting. With --json it
+/// additionally emits one machine-readable line.
+inline void FinishBench(const BenchOptions& opt, const std::string& name) {
   const double wall_ms =
       std::chrono::duration<double, std::milli>(
           std::chrono::steady_clock::now() - opt.start)
           .count();
-  const double qps =
-      queries > 0 && wall_ms > 0 ? 1000.0 * static_cast<double>(queries) /
-                                       wall_ms
-                                 : 0.0;
-  std::ostringstream human;
-  human << "\nwall-clock: " << harness::TablePrinter::Num(wall_ms, 1)
-        << " ms (jobs=" << opt.jobs;
-  if (queries > 0) {
-    human << ", " << queries << " queries, "
-          << harness::TablePrinter::Num(qps, 1) << " q/s";
-  }
-  human << ")\n";
-  std::cout << human.str();
+  std::cout << "\nwall-clock: " << harness::TablePrinter::Num(wall_ms, 1)
+            << " ms (jobs=" << opt.jobs << ")\n";
   if (opt.json) {
     std::cout << "{\"bench\":\"" << name << "\",\"jobs\":" << opt.jobs
               << ",\"quick\":" << (opt.quick ? "true" : "false")
-              << ",\"queries\":" << queries
               << ",\"wall_ms\":" << harness::TablePrinter::Num(wall_ms, 3)
-              << ",\"qps\":" << harness::TablePrinter::Num(qps, 3) << "}\n";
+              << "}\n";
   }
   if (opt.metrics) {
     if (opt.metrics_file.empty()) {

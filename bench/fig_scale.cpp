@@ -190,6 +190,6 @@ int main(int argc, char** argv) {
             << " MB\n";
   std::cout << "shape check: bias% shrinks as n grows (finite-size bias of "
                "the theorem hop estimates)\n";
-  bench::FinishBench(opt, "fig_scale", total_lookups);
+  bench::FinishBench(opt, "fig_scale");
   return 0;
 }

@@ -7,7 +7,6 @@
 #include <memory>
 
 #include "discovery/join.hpp"
-#include "discovery/maan_service.hpp"
 #include "harness/experiments.hpp"
 #include "harness/setup.hpp"
 
@@ -104,76 +103,6 @@ void BM_RangeQueryPlanned(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
 BENCHMARK(BM_RangeQueryPlanned)->DenseRange(0, 4);
-
-// ---- Per-phase costs -------------------------------------------------------
-// A range sub-query decomposes into route (DHT lookup), directory scan
-// (sorted-run range scan at each visited node) and intersect (provider-set
-// join). The three phase benches below isolate each on MAAN's ring, so the
-// planner's savings (fewer scans, smaller intersections) can be priced.
-
-void BM_PhaseRoute(benchmark::State& state) {
-  Fixture f(SystemKind::kMaan);
-  const auto& maan =
-      dynamic_cast<const discovery::MaanService&>(*f.service);
-  const auto& ring = maan.overlay();
-  Rng rng(9);
-  chord::LookupResult res;
-  for (auto _ : state) {
-    const AttrId attr = static_cast<AttrId>(rng.NextBelow(f.setup.attributes));
-    const auto v = f.workload->SampleValue(attr, rng);
-    ring.LookupInto(maan.ValueKeyFor(attr, v),
-                    static_cast<NodeAddr>(rng.NextBelow(f.setup.nodes)), res);
-    benchmark::DoNotOptimize(res.owner);
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
-}
-BENCHMARK(BM_PhaseRoute);
-
-void BM_PhaseDirectoryScan(benchmark::State& state) {
-  // Scans the attribute-record pile at an attribute root — the fattest
-  // directory bucket any of the systems ever walks.
-  Fixture f(SystemKind::kMaan);
-  const auto& maan =
-      dynamic_cast<const discovery::MaanService&>(*f.service);
-  Rng rng(10);
-  std::uint64_t hits = 0;
-  for (auto _ : state) {
-    const auto q = f.workload->MakeRangeQuery(
-        1, static_cast<NodeAddr>(rng.NextBelow(f.setup.nodes)),
-        resource::RangeStyle::kBounded, rng);
-    const auto& sub = q.subs.front();
-    const auto& schema = f.workload->registry().Get(sub.attr);
-    const auto* dir = maan.directories().Find(
-        maan.overlay().OwnerOf(maan.AttributeKeyFor(sub.attr)));
-    if (dir != nullptr) {
-      dir->ForEachMatch(sub.attr, schema.OrdinalOf(sub.range.lo),
-                        schema.OrdinalOf(sub.range.hi),
-                        [&](const auto&) { ++hits; });
-    }
-    benchmark::DoNotOptimize(hits);
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
-}
-BENCHMARK(BM_PhaseDirectoryScan);
-
-void BM_PhaseIntersect(benchmark::State& state) {
-  // Galloping provider-set intersection at the skew the planner produces:
-  // a small accumulator against a large sub-query result.
-  Rng rng(11);
-  std::vector<NodeAddr> small_set, big_set;
-  for (NodeAddr p = 0; p < 2000; ++p) {
-    if (rng.NextBelow(100) < 2) small_set.push_back(p);
-    if (rng.NextBelow(100) < 40) big_set.push_back(p);
-  }
-  std::vector<NodeAddr> acc, tmp;
-  for (auto _ : state) {
-    acc = small_set;
-    discovery::IntersectSorted(acc, big_set, tmp);
-    benchmark::DoNotOptimize(acc.data());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
-}
-BENCHMARK(BM_PhaseIntersect);
 
 void BM_JoinProviders(benchmark::State& state) {
   Rng rng(8);

@@ -4,8 +4,10 @@
 // against them (paper §III: "the operation in resource discovery is to pool
 // together information of available resources in a number of directory
 // nodes"). Entries carry the DHT placement key they were stored under so
-// ownership changes under churn can re-home exactly the affected entries,
-// and the value's ordinal so range scans need no schema access.
+// ownership changes under churn can re-home exactly the affected entries.
+// A tuple's value is its schema ordinal (resource/attribute.hpp), so range
+// scans order and compare it directly, with no schema access and no second
+// copy.
 //
 // Storage is two flat levels, so a probe costs one hash probe and two binary
 // searches over contiguous arrays, with no tree-node hops:
@@ -43,6 +45,7 @@
 #include <utility>
 #include <vector>
 
+#include "chord/chord.hpp"
 #include "common/error.hpp"
 #include "common/flat_map.hpp"
 #include "common/types.hpp"
@@ -59,8 +62,7 @@ class Directory {
  public:
   struct Entry {
     resource::ResourceInfo info;
-    double ordinal = 0;  ///< schema ordinal of info.value
-    KeyT key{};          ///< DHT key the entry was placed under
+    KeyT key{};  ///< DHT key the entry was placed under
     /// Soft-state reporting period the entry was advertised in.
     std::uint64_t epoch = 0;
     /// Record kind for systems that store one tuple under several keys
@@ -84,8 +86,8 @@ class Directory {
   ~Directory() {
     if (est_ == nullptr) return;
     for (const auto& [attr, b] : buckets_) {
-      for (const Entry& e : b.sorted) est_->Remove(e.info.attr, e.ordinal);
-      for (const Entry& e : b.pending) est_->Remove(e.info.attr, e.ordinal);
+      for (const Entry& e : b.sorted) est_->Remove(attr, OrdinalOf(e));
+      for (const Entry& e : b.pending) est_->Remove(attr, OrdinalOf(e));
     }
   }
 
@@ -95,7 +97,7 @@ class Directory {
   void SetEstimator(SelectivityEstimator* est) { est_ = est; }
 
   void Insert(Entry e) {
-    if (est_ != nullptr) est_->Add(e.info.attr, e.ordinal);
+    if (est_ != nullptr) est_->Add(e.info.attr, OrdinalOf(e));
     const AttrId attr = e.info.attr;
     auto it = LowerBound(attr);
     if (it == buckets_.end() || it->first != attr) {
@@ -118,8 +120,8 @@ class Directory {
     const std::vector<Entry>& v = bit->second.sorted;
     auto it = std::lower_bound(
         v.begin(), v.end(), lo,
-        [](const Entry& e, double x) { return e.ordinal < x; });
-    for (; it != v.end() && it->ordinal <= hi; ++it) fn(*it);
+        [](const Entry& e, double x) { return OrdinalOf(e) < x; });
+    for (; it != v.end() && OrdinalOf(*it) <= hi; ++it) fn(*it);
   }
 
   /// Removes and returns every entry satisfying `pred(entry)`.
@@ -179,6 +181,8 @@ class Directory {
     std::vector<Entry> pending;  ///< inserts since the last merge
   };
 
+  static double OrdinalOf(const Entry& e) { return e.info.value.ordinal(); }
+
   /// (attr, bucket) pairs sorted by attr; every bucket holds an entry.
   using BucketVec = std::vector<std::pair<AttrId, Bucket>>;
 
@@ -205,7 +209,7 @@ class Directory {
     for (auto& [attr, b] : buckets_) {
       if (b.pending.empty()) continue;
       const auto by_ordinal = [](const Entry& x, const Entry& y) {
-        return x.ordinal < y.ordinal;
+        return x.info.value < y.info.value;
       };
       // stable_sort + merging older-before-newer preserves insertion order
       // among equal ordinals (pending entries all post-date sorted ones).
@@ -214,8 +218,9 @@ class Directory {
       if (!std::is_sorted(b.pending.begin(), b.pending.end(), by_ordinal)) {
         std::stable_sort(b.pending.begin(), b.pending.end(), by_ordinal);
       }
-      const bool appends = b.sorted.empty() ||
-                           b.sorted.back().ordinal <= b.pending.front().ordinal;
+      const bool appends =
+          b.sorted.empty() ||
+          b.sorted.back().info.value <= b.pending.front().info.value;
       const auto mid = static_cast<std::ptrdiff_t>(b.sorted.size());
       b.sorted.insert(b.sorted.end(),
                       std::make_move_iterator(b.pending.begin()),
@@ -239,7 +244,7 @@ class Directory {
     auto dst = v.begin();
     for (auto src = v.begin(); src != v.end(); ++src) {
       if (pred(*src)) {
-        if (est_ != nullptr) est_->Remove(src->info.attr, src->ordinal);
+        if (est_ != nullptr) est_->Remove(src->info.attr, OrdinalOf(*src));
         if (out != nullptr) out->push_back(std::move(*src));
         ++removed;
       } else {
@@ -274,6 +279,10 @@ class Directory {
   /// Optional planner hook; owned by the service, outlives the store.
   SelectivityEstimator* est_ = nullptr;
 };
+
+// A Chord-keyed entry is the 24-byte tuple plus its placement bookkeeping;
+// directories hold one per advertised tuple (two for MAAN-style systems).
+static_assert(sizeof(Directory<chord::Key>::Entry) <= 48);
 
 /// Directory node address -> its directory, plus the bookkeeping shared by
 /// every system.

@@ -8,47 +8,6 @@
 
 namespace lorm::resource {
 
-AttrValue AttrValue::Number(double v) {
-  AttrValue a;
-  a.kind_ = ValueKind::kNumeric;
-  a.num_ = v;
-  return a;
-}
-
-AttrValue AttrValue::Text(std::string v) {
-  AttrValue a;
-  a.kind_ = ValueKind::kText;
-  a.text_ = std::move(v);
-  return a;
-}
-
-double AttrValue::num() const {
-  LORM_CHECK_MSG(kind_ == ValueKind::kNumeric, "num() on text value");
-  return num_;
-}
-
-const std::string& AttrValue::text() const {
-  LORM_CHECK_MSG(kind_ == ValueKind::kText, "text() on numeric value");
-  return text_;
-}
-
-bool AttrValue::operator==(const AttrValue& o) const {
-  if (kind_ != o.kind_) return false;
-  return kind_ == ValueKind::kNumeric ? num_ == o.num_ : text_ == o.text_;
-}
-
-bool AttrValue::operator<(const AttrValue& o) const {
-  LORM_CHECK_MSG(kind_ == o.kind_, "comparing values of different kinds");
-  return kind_ == ValueKind::kNumeric ? num_ < o.num_ : text_ < o.text_;
-}
-
-std::string AttrValue::ToString() const {
-  if (kind_ == ValueKind::kText) return text_;
-  std::ostringstream os;
-  os << num_;
-  return os.str();
-}
-
 AttributeSchema AttributeSchema::Numeric(std::string name, double min_value,
                                          double max_value) {
   if (!(max_value > min_value)) {
@@ -77,24 +36,30 @@ AttributeSchema AttributeSchema::Text(std::string name,
   return s;
 }
 
-double AttributeSchema::OrdinalOf(const AttrValue& v) const {
-  if (kind_ == ValueKind::kNumeric) {
-    return v.num();
-  }
-  const auto it = std::lower_bound(enum_.begin(), enum_.end(), v.text());
-  LORM_CHECK_MSG(it != enum_.end() && *it == v.text(),
-                 "text value not in attribute enumeration: " + v.text());
-  return static_cast<double>(it - enum_.begin());
-}
-
 AttrValue AttributeSchema::ValueAt(double ordinal) const {
   if (kind_ == ValueKind::kNumeric) {
     return AttrValue::Number(std::clamp(ordinal, min_, max_));
   }
-  auto idx = static_cast<std::ptrdiff_t>(std::llround(ordinal));
-  idx = std::clamp<std::ptrdiff_t>(
-      idx, 0, static_cast<std::ptrdiff_t>(enum_.size()) - 1);
-  return AttrValue::Text(enum_[static_cast<std::size_t>(idx)]);
+  const auto last = static_cast<double>(enum_.size() - 1);
+  return AttrValue::Number(std::clamp(std::round(ordinal), 0.0, last));
+}
+
+AttrValue AttributeSchema::TextValue(std::string_view name) const {
+  const auto it = std::lower_bound(enum_.begin(), enum_.end(), name);
+  if (kind_ != ValueKind::kText || it == enum_.end() || *it != name) {
+    throw ConfigError("attribute " + name_ + " has no value '" +
+                      std::string(name) + "'");
+  }
+  return AttrValue::Number(static_cast<double>(it - enum_.begin()));
+}
+
+std::string AttributeSchema::Format(const AttrValue& v) const {
+  if (kind_ == ValueKind::kText) {
+    return enum_[static_cast<std::size_t>(ValueAt(v.ordinal()).ordinal())];
+  }
+  std::ostringstream os;
+  os << v.ordinal();
+  return os.str();
 }
 
 AttrId AttributeRegistry::RegisterNumeric(std::string name, double min_value,

@@ -42,7 +42,8 @@ std::vector<ResourceInfo> Machine::Advertise(
   out.push_back({need(kAttrMemMb), AttrValue::Number(mem_mb), addr});
   out.push_back({need(kAttrDiskGb), AttrValue::Number(disk_gb), addr});
   out.push_back({need(kAttrNetMbps), AttrValue::Number(net_mbps), addr});
-  out.push_back({need(kAttrOs), AttrValue::Text(os), addr});
+  const AttrId os_id = need(kAttrOs);
+  out.push_back({os_id, registry.Get(os_id).TextValue(os), addr});
   return out;
 }
 

@@ -19,12 +19,13 @@ std::string MultiQuery::ToString(const AttributeRegistry& registry) const {
   for (std::size_t i = 0; i < subs.size(); ++i) {
     if (i) os << ", ";
     const auto& s = subs[i];
-    os << registry.Get(s.attr).name();
+    const AttributeSchema& schema = registry.Get(s.attr);
+    os << schema.name();
     if (s.IsPoint()) {
-      os << " = " << s.range.lo.ToString();
+      os << " = " << schema.Format(s.range.lo);
     } else {
-      os << " in [" << s.range.lo.ToString() << ", " << s.range.hi.ToString()
-         << "]";
+      os << " in [" << schema.Format(s.range.lo) << ", "
+         << schema.Format(s.range.hi) << "]";
     }
   }
   os << "}";
@@ -49,9 +50,11 @@ QueryBuilder& QueryBuilder::Equals(std::string_view attr, double value) {
   return *this;
 }
 
-QueryBuilder& QueryBuilder::Equals(std::string_view attr, std::string value) {
-  query_.subs.push_back(SubQuery{
-      MustFind(attr), ValueRange::Point(AttrValue::Text(std::move(value)))});
+QueryBuilder& QueryBuilder::Equals(std::string_view attr,
+                                   std::string_view value) {
+  const AttrId id = MustFind(attr);
+  query_.subs.push_back(
+      SubQuery{id, ValueRange::Point(registry_.Get(id).TextValue(value))});
   return *this;
 }
 

@@ -44,7 +44,8 @@ class QueryBuilder {
   QueryBuilder(const AttributeRegistry& registry, NodeAddr requester);
 
   QueryBuilder& Equals(std::string_view attr, double value);
-  QueryBuilder& Equals(std::string_view attr, std::string value);
+  /// A text condition; throws ConfigError for a name not in the enumeration.
+  QueryBuilder& Equals(std::string_view attr, std::string_view value);
   QueryBuilder& AtLeast(std::string_view attr, double value);
   QueryBuilder& AtMost(std::string_view attr, double value);
   QueryBuilder& Between(std::string_view attr, double lo, double hi);

@@ -20,8 +20,8 @@ AttrId Need(const resource::AttributeRegistry& registry, const char* name) {
 
 SubQuery OsEquals(const resource::AttributeRegistry& registry,
                   const std::string& os) {
-  return SubQuery{Need(registry, resource::kAttrOs),
-                  ValueRange::Point(AttrValue::Text(os))};
+  const AttrId id = Need(registry, resource::kAttrOs);
+  return SubQuery{id, ValueRange::Point(registry.Get(id).TextValue(os))};
 }
 
 SubQuery AtLeast(const resource::AttributeRegistry& registry, const char* attr,

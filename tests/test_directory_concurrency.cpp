@@ -22,7 +22,7 @@ Dir::Entry MakeEntry(AttrId attr, double ordinal, NodeAddr provider) {
   Dir::Entry e;
   e.info.attr = attr;
   e.info.provider = provider;
-  e.ordinal = ordinal;
+  e.info.value = resource::AttrValue::Number(ordinal);
   e.key = static_cast<std::uint64_t>(ordinal);
   return e;
 }
@@ -54,7 +54,8 @@ TEST(DirectoryConcurrency, ParallelMatchAndSizeReads) {
         const auto attr = static_cast<AttrId>((t + r) % kAttrs);
         dir.ForEachMatch(attr, 64.0, 191.0,
                          [&](const Dir::Entry& e) {
-                           matches += e.ordinal >= 64.0 && e.ordinal <= 191.0;
+                           const double ordinal = e.info.value.ordinal();
+                           matches += ordinal >= 64.0 && ordinal <= 191.0;
                          });
         if (dir.size() != expected_size || dir.empty()) failed.store(true);
       }

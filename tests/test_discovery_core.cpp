@@ -20,7 +20,6 @@ Directory<std::uint64_t>::Entry E(AttrId attr, double ordinal,
                                   NodeAddr provider, std::uint64_t key = 0) {
   Directory<std::uint64_t>::Entry e;
   e.info = ResourceInfo{attr, AttrValue::Number(ordinal), provider};
-  e.ordinal = ordinal;
   e.key = key;
   return e;
 }
@@ -219,7 +218,7 @@ struct StoreModel {
     std::vector<Entry> v = it->second;
     std::stable_sort(v.begin(), v.end(), [](const Entry& a, const Entry& b) {
       if (a.info.attr != b.info.attr) return a.info.attr < b.info.attr;
-      return a.ordinal < b.ordinal;
+      return a.info.value < b.info.value;
     });
     return v;
   }
@@ -286,7 +285,7 @@ TEST(DirectoryStoreTest, MatchesReferenceModel) {
         total += view.size();
         for (const auto& e : view) {
           ++per_attr[e.info.attr];
-          ++per_bin[e.info.attr][static_cast<std::size_t>(e.ordinal)];
+          ++per_bin[e.info.attr][static_cast<std::size_t>(e.info.value.ordinal())];
         }
       }
       ASSERT_EQ(store.TotalEntries(), total) << "step " << step;
@@ -355,7 +354,8 @@ TEST(DirectoryStoreTest, MatchesReferenceModel) {
                           [&](const auto& e) { got.push_back(e.key); });
         }
         for (const auto& e : model.View(owner)) {
-          if (e.info.attr == attr && e.ordinal >= lo && e.ordinal <= hi) {
+          const double ordinal = e.info.value.ordinal();
+          if (e.info.attr == attr && ordinal >= lo && ordinal <= hi) {
             want.push_back(e.key);
           }
         }

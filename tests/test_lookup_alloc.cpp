@@ -214,8 +214,8 @@ TEST(LookupAllocFree, WarmDirectoryProbeLoopDoesNotAllocate) {
   for (int i = 0; i < 20000; ++i) {
     discovery::DirectoryStore<std::uint64_t>::Entry e;
     e.info.attr = static_cast<AttrId>(rng.NextBelow(kAttrs));
-    e.ordinal = static_cast<double>(rng.NextBelow(1000));
-    e.info.value = resource::AttrValue::Number(e.ordinal);
+    e.info.value =
+        resource::AttrValue::Number(static_cast<double>(rng.NextBelow(1000)));
     e.info.provider = static_cast<NodeAddr>(rng.NextBelow(4096));
     store.Insert(static_cast<NodeAddr>(rng.NextBelow(kOwners) * 7919),
                  std::move(e));

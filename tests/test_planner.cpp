@@ -208,7 +208,7 @@ TEST(PlannerEquivalence, ParallelPlannedReplayIsDeterministic) {
 resource::SubQuery EmptySub(const testutil::Bed& bed, AttrId attr) {
   std::vector<double> values;
   for (const auto& info : bed.infos) {
-    if (info.attr == attr) values.push_back(info.value.num());
+    if (info.attr == attr) values.push_back(info.value.ordinal());
   }
   std::sort(values.begin(), values.end());
   values.erase(std::unique(values.begin(), values.end()), values.end());
@@ -311,16 +311,14 @@ TEST(Selectivity, DirectoryMirrorsInsertTakeAndDestruction) {
     dir.SetEstimator(&est);
     for (int i = 0; i < 10; ++i) {
       discovery::Directory<std::uint64_t>::Entry e;
-      e.info = {0, resource::AttrValue::Number(1.0),
+      e.info = {0, resource::AttrValue::Number(0.1 * i),
                 static_cast<NodeAddr>(i)};
-      e.ordinal = 0.1 * i;
       dir.Insert(std::move(e));
     }
     for (int i = 0; i < 5; ++i) {
       discovery::Directory<std::uint64_t>::Entry e;
-      e.info = {1, resource::AttrValue::Number(2.0),
+      e.info = {1, resource::AttrValue::Number(0.5),
                 static_cast<NodeAddr>(i)};
-      e.ordinal = 0.5;
       dir.Insert(std::move(e));
     }
     EXPECT_EQ(est.CountOf(0), 10u);
