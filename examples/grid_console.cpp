@@ -171,7 +171,8 @@ class Console {
     for (const auto& info : m.Advertise(registry_)) service_.Advertise(info);
   }
 
-  /// A numeric attribute's value; the whole token must be a number.
+  /// A numeric attribute's value; the whole token must be a number inside
+  /// the attribute's domain.
   static resource::AttrValue ParseNumber(const resource::AttributeSchema& schema,
                                          const std::string& text) {
     std::size_t used = 0;
@@ -184,6 +185,14 @@ class Console {
     if (used == 0 || used != text.size() || !std::isfinite(v)) {
       throw ConfigError("attribute " + schema.name() + " needs a number, not '" +
                         text + "'");
+    }
+    if (v < schema.ordinal_min() || v > schema.ordinal_max()) {
+      throw ConfigError(
+          "attribute " + schema.name() + " has no value " + text + " (range " +
+          schema.Format(resource::AttrValue::Number(schema.ordinal_min())) +
+          ".." +
+          schema.Format(resource::AttrValue::Number(schema.ordinal_max())) +
+          ")");
     }
     return resource::AttrValue::Number(v);
   }

@@ -37,32 +37,6 @@ void TickResultEvictions(std::size_t count) {
   c.AddUnchecked(static_cast<std::uint64_t>(count));
 }
 
-void TickJoinedHit(std::size_t subs) {
-  if (!obs::MetricsEnabled()) return;
-  // A joined hit answers every sub-query at once; charge the per-sub hit
-  // counter for each so hit accounting is execution-strategy-independent.
-  static obs::Counter& per_sub =
-      obs::Registry::Global().GetCounter("lorm.cache.result.hits");
-  per_sub.AddUnchecked(static_cast<std::uint64_t>(subs));
-  static obs::Counter& c =
-      obs::Registry::Global().GetCounter("lorm.cache.result.joined_hits");
-  c.AddUnchecked(1);
-}
-
-void TickJoinedMiss() {
-  if (!obs::MetricsEnabled()) return;
-  static obs::Counter& c =
-      obs::Registry::Global().GetCounter("lorm.cache.result.joined_misses");
-  c.AddUnchecked(1);
-}
-
-void TickJoinedInsert() {
-  if (!obs::MetricsEnabled()) return;
-  static obs::Counter& c =
-      obs::Registry::Global().GetCounter("lorm.cache.result.joined_inserts");
-  c.AddUnchecked(1);
-}
-
 }  // namespace
 
 ResultCache::RangeKey ResultCache::KeyOf(double lo, double hi) {
@@ -109,64 +83,13 @@ void ResultCache::Store(AttrId attr, double lo, double hi,
   TickResultInsert();
 }
 
-JoinedKey ResultCache::MakeJoinedKey(AttrId attr, double lo, double hi) {
-  JoinedKey k;
-  k.attr = attr;
-  std::memcpy(&k.lo_bits, &lo, sizeof lo);
-  std::memcpy(&k.hi_bits, &hi, sizeof hi);
-  return k;
-}
-
-bool ResultCache::LookupJoined(
-    const std::vector<JoinedKey>& keys,
-    std::vector<std::vector<resource::ResourceInfo>>& per_sub_canonical,
-    std::vector<NodeAddr>& providers) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  const auto it = joined_.find(keys);
-  if (it == joined_.end()) {
-    TickJoinedMiss();
-    return false;
-  }
-  per_sub_canonical = it->second.per_sub;
-  providers = it->second.providers;
-  TickJoinedHit(keys.size());
-  return true;
-}
-
-void ResultCache::StoreJoined(
-    const std::vector<JoinedKey>& keys,
-    const std::vector<std::vector<resource::ResourceInfo>>& per_sub_canonical,
-    const std::vector<NodeAddr>& providers) {
-  if (!enabled_) return;
-  std::lock_guard<std::mutex> lock(mu_);
-  if (joined_.size() >= kMaxJoined && !joined_.contains(keys)) {
-    TickResultEvictions(joined_.size());
-    joined_.clear();
-  }
-  JoinedEntry& e = joined_[keys];
-  e.per_sub = per_sub_canonical;
-  e.providers = providers;
-  TickJoinedInsert();
-}
-
 void ResultCache::InvalidateAttr(AttrId attr) {
   if (!enabled_) return;
   std::lock_guard<std::mutex> lock(mu_);
   std::size_t dropped = 0;
-  for (auto it = joined_.begin(); it != joined_.end();) {
-    bool contains = false;
-    for (const JoinedKey& k : it->first) contains |= k.attr == attr;
-    if (contains) {
-      TickResultEvictions(1);
-      ++dropped;
-      it = joined_.erase(it);
-    } else {
-      ++it;
-    }
-  }
   if (const auto bucket = buckets_.find(attr); bucket != buckets_.end()) {
-    TickResultEvictions(bucket->second.size());
-    dropped += bucket->second.size();
+    dropped = bucket->second.size();
+    TickResultEvictions(dropped);
     buckets_.erase(bucket);
   }
   if (obs::FlightEnabled()) {
@@ -178,11 +101,10 @@ void ResultCache::InvalidateAttr(AttrId attr) {
 void ResultCache::InvalidateAll() {
   if (!enabled_) return;
   std::lock_guard<std::mutex> lock(mu_);
-  std::size_t dropped = joined_.size();
+  std::size_t dropped = 0;
   for (const auto& [attr, bucket] : buckets_) dropped += bucket.size();
   TickResultEvictions(dropped);
   buckets_.clear();
-  joined_.clear();
   if (obs::FlightEnabled()) {
     obs::RecordFlight(obs::FlightEventKind::kCacheInvalidate, "result_cache",
                       kNoNode, dropped, ~std::uint64_t{0});

@@ -58,8 +58,7 @@ struct QueryScratch {
   chord::LookupResult chord;
   cycloid::LookupResult cycloid;
   /// Executor buffers: every query's sub-query ranges and running provider
-  /// join, plus the planner's order and estimates (`--plan`) and the
-  /// order-independent joined result-cache key (`--cache`).
+  /// join, plus the planner's order and estimates (`--plan`).
   PlanScratch plan;
 };
 

@@ -4,6 +4,10 @@
 // database-like 'join' operation based on ip_addr. The results are the nodes
 // that have desired resource by the requester." A provider satisfies the
 // multi-attribute query iff it appears in the result set of every sub-query.
+//
+// Each sub-query's matches reach the join sorted by provider: DedupMatches
+// sorts them, and the result cache stores them after it. So a sub-query's
+// provider set is one linear pass, and only the intersection searches.
 #pragma once
 
 #include <vector>
@@ -21,15 +25,18 @@ std::vector<NodeAddr> JoinProviders(
     const std::vector<std::vector<resource::ResourceInfo>>& per_sub);
 
 /// Extracts the sorted, deduplicated provider set of one sub-query's
-/// matches into `out` (cleared first).
+/// matches into `out` (cleared first). Matches sorted by provider, as
+/// DedupMatches leaves them, cost one linear pass; any other order is
+/// sorted as well.
 void ProvidersOf(const std::vector<resource::ResourceInfo>& matches,
                  std::vector<NodeAddr>& out);
 
 /// acc <- acc ∩ cur via a galloping merge: iterate the smaller side and
-/// binary-search forward in the larger, so a k-attribute join costs
-/// O(min·log max) instead of O(acc + cur) when selectivities are skewed.
-/// Both inputs must be sorted and unique; the (sorted, unique) output is
-/// identical to std::set_intersection. `tmp` is scratch.
+/// probe forward in the larger with doubling steps, then binary-search the
+/// last step, so a k-attribute join costs O(min·log(max/min)) instead of
+/// O(acc + cur) when selectivities are skewed. Both inputs must be sorted
+/// and unique; the (sorted, unique) output is identical to
+/// std::set_intersection. `tmp` is scratch.
 void IntersectSorted(std::vector<NodeAddr>& acc,
                      const std::vector<NodeAddr>& cur,
                      std::vector<NodeAddr>& tmp);

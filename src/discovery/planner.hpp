@@ -26,7 +26,6 @@
 #include <numeric>
 #include <vector>
 
-#include "cache/result_cache.hpp"
 #include "common/types.hpp"
 #include "discovery/selectivity.hpp"
 #include "obs/metrics.hpp"
@@ -44,11 +43,6 @@ struct PlanScratch {
   std::vector<NodeAddr> candidates;  ///< running provider intersection
   std::vector<NodeAddr> providers;   ///< one sub's provider set
   std::vector<NodeAddr> tmp;         ///< intersection scratch
-  std::vector<cache::JoinedKey> keys;      ///< canonical joined-cache key
-  std::vector<cache::JoinedKey> keys_tmp;  ///< reorder scratch
-  std::vector<std::uint32_t> canon_orig;   ///< keys[j] came from sub orig[j]
-  /// Joined-cache transfer buffer (per-sub lists in canonical order).
-  std::vector<std::vector<resource::ResourceInfo>> cached;
 };
 
 inline void TickPlanQuery() {
@@ -110,56 +104,6 @@ inline void PlanOrder(const SelectivityEstimator& est,
                    });
   TickPlanQuery();
   if (!std::is_sorted(ps.order.begin(), ps.order.end())) TickPlanReordered();
-}
-
-/// Fills ps.keys with the sub-queries' joined-cache keys in canonical
-/// (sorted) order and ps.canon_orig with each key's original sub index, so
-/// planned and unplanned executions of the same query — in any sub order —
-/// address the same cache entry. Requires ComputeSubRanges first.
-inline void CanonicalSubKeys(const resource::MultiQuery& q, PlanScratch& ps) {
-  const std::size_t k = q.subs.size();
-  ps.keys.resize(k);
-  ps.canon_orig.resize(k);
-  for (std::size_t i = 0; i < k; ++i) {
-    ps.keys[i] = cache::ResultCache::MakeJoinedKey(q.subs[i].attr, ps.lo[i],
-                                                   ps.hi[i]);
-    ps.canon_orig[i] = static_cast<std::uint32_t>(i);
-  }
-  std::stable_sort(ps.canon_orig.begin(), ps.canon_orig.end(),
-                   [&](std::uint32_t a, std::uint32_t b) {
-                     return ps.keys[a] < ps.keys[b];
-                   });
-  ps.keys_tmp.clear();
-  for (const std::uint32_t i : ps.canon_orig) ps.keys_tmp.push_back(ps.keys[i]);
-  ps.keys.swap(ps.keys_tmp);
-}
-
-/// Whole-query joined-cache probe. On a hit, fills `per_sub` (mapped back
-/// to query order) and `providers` and returns true. Requires
-/// CanonicalSubKeys first. Only call when the cache is enabled.
-inline bool JoinedCacheFetch(
-    const cache::ResultCache& cache, PlanScratch& ps, std::size_t k,
-    std::vector<std::vector<resource::ResourceInfo>>& per_sub,
-    std::vector<NodeAddr>& providers) {
-  if (!cache.LookupJoined(ps.keys, ps.cached, providers)) return false;
-  per_sub.resize(k);
-  for (std::size_t j = 0; j < k; ++j) {
-    per_sub[ps.canon_orig[j]] = std::move(ps.cached[j]);
-  }
-  return true;
-}
-
-/// Stores a fully resolved query into the joined cache, reordering the
-/// query-order per-sub lists into canonical key order. Requires
-/// CanonicalSubKeys first.
-inline void JoinedCacheStore(
-    cache::ResultCache& cache, PlanScratch& ps,
-    const std::vector<std::vector<resource::ResourceInfo>>& per_sub,
-    const std::vector<NodeAddr>& providers) {
-  const std::size_t k = per_sub.size();
-  ps.cached.resize(k);
-  for (std::size_t j = 0; j < k; ++j) ps.cached[j] = per_sub[ps.canon_orig[j]];
-  cache.StoreJoined(ps.keys, ps.cached, providers);
 }
 
 }  // namespace lorm::discovery

@@ -6,9 +6,8 @@
 // address. ExecuteQuery owns everything but the placement rule:
 //
 //   * the requester membership check and each sub-query's ordinal range;
-//   * the joined result cache (probe first; store only answers that neither
-//     failed to route nor were pruned) and the per-sub result cache (store
-//     only fully resolved sub-queries);
+//   * the result cache: probe each sub-query's (attr, range) first, and
+//     store only fully resolved sub-queries;
 //   * sub ordering: query order on the classic path, PlanOrder with `plan`;
 //   * per-sub cost accounting, requester-side dedup of each sub's matches;
 //   * the running provider join, with early exit only when planned;
@@ -38,6 +37,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "cache/result_cache.hpp"
 #include "common/error.hpp"
 #include "discovery/directory.hpp"
 #include "discovery/discovery.hpp"
@@ -96,19 +96,6 @@ QueryResult ExecuteQuery(const Service& svc, const resource::MultiQuery& q,
   PlanScratch& ps = scratch.plan;
   cache::ResultCache& cache = svc.result_cache_;
   ComputeSubRanges(svc.registry_, q, ps);
-
-  const bool joined = cache.enabled() && k > 0;
-  if (joined) {
-    CanonicalSubKeys(q, ps);
-    if (JoinedCacheFetch(cache, ps, k, result.per_sub, result.providers)) {
-      for (const auto& sub : q.subs) {
-        const obs::SubQueryScope sub_trace(sub.attr);
-      }
-      stats.sub_costs.assign(k, 0);
-      query_obs.Record(stats);
-      return result;
-    }
-  }
 
   const bool plan = svc.cfg_.plan;
   if (plan) {
@@ -178,9 +165,6 @@ QueryResult ExecuteQuery(const Service& svc, const resource::MultiQuery& q,
   // advertised (their stale entries expire with periodic re-advertisement).
   result.providers = ps.candidates;  // exact capacity: callers keep answers
   std::erase_if(result.providers, [&](NodeAddr p) { return !svc.HasNode(p); });
-  if (joined && !stats.failed && !pruned) {
-    JoinedCacheStore(cache, ps, result.per_sub, result.providers);
-  }
   query_obs.Record(stats);
   return result;
 }
